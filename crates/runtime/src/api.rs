@@ -103,6 +103,11 @@ impl HttpRequest {
     pub fn header(&self, name: &str) -> Option<&str> {
         self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
     }
+
+    /// The value of the first `key=value` query pair named `key`.
+    pub fn query_param(&self, key: &str) -> Option<&str> {
+        self.query()?.split('&').find_map(|pair| pair.strip_prefix(key)?.strip_prefix('='))
+    }
 }
 
 /// Why a request did not parse (each maps to one HTTP error status).
@@ -126,11 +131,11 @@ pub enum HttpParseError {
 }
 
 impl HttpParseError {
-    /// The HTTP status line this error maps to.
-    pub fn status(&self) -> &'static str {
+    /// The HTTP status code this error maps to.
+    pub fn status(&self) -> u16 {
         match self {
-            HttpParseError::BodyTooLarge { .. } => "413 Payload Too Large",
-            _ => "400 Bad Request",
+            HttpParseError::BodyTooLarge { .. } => 413,
+            _ => 400,
         }
     }
 }
@@ -358,8 +363,9 @@ struct ApiJob {
 }
 
 impl ApiJob {
-    fn new(label: String, machine: String, mode: &'static str) -> ApiJob {
-        ApiJob {
+    /// A fresh job, boxed for the job table (see [`ApiState::jobs`]).
+    fn new(label: String, machine: String, mode: &'static str) -> Box<ApiJob> {
+        Box::new(ApiJob {
             label,
             machine,
             mode,
@@ -370,13 +376,16 @@ impl ApiJob {
             admission_us: 0,
             sched_token: None,
             attribution: None,
-        }
+        })
     }
 }
 
 struct ApiState {
     next_id: u64,
-    jobs: HashMap<u64, ApiJob>,
+    /// Every job, boxed: the table then holds only pointers, so it stays
+    /// small as it grows (its buckets are touched at random, so every
+    /// page of it is resident).
+    jobs: HashMap<u64, Box<ApiJob>>,
     journal: Option<Journal>,
     /// Live coalescing leaders by plan-cache identity.
     leaders: HashMap<(u64, u64), u64>,
@@ -458,7 +467,7 @@ impl JobApi {
     ) -> Result<(Arc<JobApi>, ApiResume), JournalError> {
         let header = api_header();
         let mut summary = ApiResume::default();
-        let mut jobs: HashMap<u64, ApiJob> = HashMap::new();
+        let mut jobs: HashMap<u64, Box<ApiJob>> = HashMap::new();
         let mut next_id = 0u64;
         let mut pending: Vec<AcceptedEntry> = Vec::new();
         let journal = if resume && path.exists() {
@@ -841,8 +850,8 @@ impl JobApi {
                 f.outcome = Some(outcome.clone());
                 if f.trace.is_some() {
                     // Coalesced followers rode the leader's computation:
-                    // their stage durations are the leader's spans, their
-                    // wait is their own accept window.
+                    // they are charged the leader's spans, clipped to
+                    // their own accept window.
                     f.attribution = Some(render_attribution(
                         &tracer,
                         f.accepted_at,
@@ -952,13 +961,16 @@ fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
-/// Computes a settled job's latency [`Attribution`] from its own spans:
-/// `total_us` is the measured accept → settle wall time; `queue_us`,
-/// `run_us` and `retry_us` are mined from the span ring by scheduler
-/// token; `other_us` is the unattributed remainder, so the execution
-/// components sum to `total_us` exactly. With tracing disabled the
+/// Computes a settled job's latency [`Attribution`] over its own
+/// accept → settle window: `total_us` is that wall time; `queue_us`,
+/// `run_us` and `retry_us` are the scheduler spans of `sched_token`
+/// (mined from the span ring) clipped to the window; `other_us` is the
+/// unattributed remainder, so the execution components partition
+/// `total_us` exactly. A coalesced follower passes its leader's token:
+/// it only waited for the part of the leader's run inside its own
+/// window, so that is all it is charged. With tracing disabled the
 /// mined stages read 0 and `other_us` absorbs the whole window — the
-/// sum contract still holds.
+/// partition still holds.
 fn render_attribution(
     tracer: &Tracer,
     accepted_at: Instant,
@@ -966,14 +978,22 @@ fn render_attribution(
     sched_token: Option<u64>,
     cached: Option<bool>,
 ) -> String {
-    let mut total_us = duration_us(accepted_at.elapsed());
+    let settled_at = Instant::now();
+    let total_us = duration_us(settled_at.duration_since(accepted_at));
     let (mut queue_us, mut run_us, mut retry_us) = (0u64, 0u64, 0u64);
     if let Some(token) = sched_token {
-        for e in tracer.recent(usize::MAX) {
-            if e.token != token {
-                continue;
-            }
-            let us = e.duration.map_or(0, duration_us);
+        let epoch = tracer.epoch();
+        for e in tracer.events_for(token) {
+            // Queue and run spans are recorded as they close; a retry
+            // span as its backoff begins.
+            let at = epoch + e.at;
+            let d = e.duration.unwrap_or_default();
+            let (start, end) = match e.kind {
+                SpanKind::JobRetry => (at, at + d),
+                _ => (at.checked_sub(d).unwrap_or(at), at),
+            };
+            let us =
+                duration_us(end.min(settled_at).saturating_duration_since(start.max(accepted_at)));
             match e.kind {
                 SpanKind::JobStart => queue_us = us,
                 SpanKind::JobSettle => run_us = us,
@@ -982,16 +1002,21 @@ fn render_attribution(
             }
         }
     }
-    let parts =
-        admission_us.saturating_add(queue_us).saturating_add(run_us).saturating_add(retry_us);
-    total_us = total_us.max(parts);
+    // Rounding (and retries nested inside a run) must not let the parts
+    // outgrow the window: each takes at most what is left of it.
+    let mut left = total_us;
+    let mut take = |us: u64| {
+        let us = us.min(left);
+        left -= us;
+        us
+    };
     let mut a = Attribution::new();
     a.push(TOTAL_KEY, total_us);
-    a.push("admission_us", admission_us);
-    a.push("queue_us", queue_us);
-    a.push("run_us", run_us);
-    a.push("retry_us", retry_us);
-    a.push("other_us", total_us - parts);
+    a.push("admission_us", take(admission_us));
+    a.push("queue_us", take(queue_us));
+    a.push("run_us", take(run_us));
+    a.push("retry_us", take(retry_us));
+    a.push("other_us", left);
     if let Some(cached) = cached {
         a.push("cached", u64::from(cached));
     }
@@ -1444,6 +1469,45 @@ mod tests {
         api.wait(plain, Duration::from_secs(30)).unwrap();
         assert!(api.trace_of(plain).is_none());
         assert!(api.attribution_of(plain).is_none());
+    }
+
+    #[test]
+    fn coalesced_follower_is_charged_only_its_own_window() {
+        let runtime = Arc::new(Runtime::new(RuntimeConfig {
+            workers: 1,
+            tracer: Some(Arc::new(Tracer::new(256))),
+            ..Default::default()
+        }));
+        let api = JobApi::new(Arc::clone(&runtime), DEFAULT_MAX_BODY_BYTES);
+        // Block the single worker: the leader waits in the queue, and the
+        // follower joins halfway through that wait.
+        let (hold_tx, hold_rx) = mpsc::channel::<()>();
+        let blocker = runtime.submit_task(move || {
+            let _ = hold_rx.recv();
+        });
+        let spec = r#"{"workload":"matmul","order":32,"machine":"tiny"}"#;
+        let traced = || api.submit_body_traced(spec, Some(TraceContext::mint())).unwrap();
+        let SubmitOk::One(leader) = traced() else { panic!() };
+        std::thread::sleep(Duration::from_millis(60));
+        let joined = Instant::now();
+        let SubmitOk::One(follower) = traced() else { panic!() };
+        assert_eq!(runtime.stats().api_coalesced.load(Ordering::Relaxed), 1);
+        std::thread::sleep(Duration::from_millis(60));
+        hold_tx.send(()).unwrap();
+        blocker.join().unwrap();
+        let JobWait::Done(_) = api.wait(follower, Duration::from_secs(30)).unwrap() else {
+            panic!("timed out")
+        };
+        let window_us = duration_us(joined.elapsed());
+
+        let attribution = |id| Attribution::parse(&api.attribution_of(id).unwrap()).unwrap();
+        let (l, f) = (attribution(leader), attribution(follower));
+        assert_eq!(f.execution_sum_us(), f.total_us(), "{}", f.encode());
+        assert!(f.total_us() <= window_us, "{window_us}µs wait charged {}", f.encode());
+        // The leader queued before the follower existed; the follower
+        // is charged only the part of that wait after it joined.
+        let queued = |a: &Attribution| a.get("queue_us").unwrap_or(0);
+        assert!(queued(&f) + 40_000 < queued(&l), "{} vs {}", f.encode(), l.encode());
     }
 
     #[test]

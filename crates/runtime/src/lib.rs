@@ -36,6 +36,13 @@
 //!   corruption, deadline expiries and DMA faults; retry-with-backoff
 //!   under a budget; a consecutive-failure [`CircuitBreaker`]; worker
 //!   respawn on panic. See DESIGN.md §7.
+//! * [`http`] — the one dependency-free HTTP/1.1 layer every listener
+//!   and dialer in the crate shares: a blocking-accept,
+//!   thread-per-connection [`http::Server`] with graceful shutdown, one
+//!   bounded request reader, one response writer that stamps
+//!   `Content-Length`, `Connection: close` and `X-CF-Digest` on every
+//!   answer, and the client half ([`Connector`], [`TcpConnector`],
+//!   [`http::parse_reply`]).
 //! * [`obs`] / [`status`] — the observability layer: a lock-cheap
 //!   [`Tracer`] (span ring buffer + per-stage latency histograms,
 //!   off by default), the [`Obs`] hub publishing live stats and
@@ -108,6 +115,7 @@ pub mod api;
 pub mod batch;
 pub mod cache;
 pub mod fault;
+pub mod http;
 pub mod job;
 pub mod journal;
 pub mod manifest;
@@ -126,6 +134,7 @@ pub mod trace;
 pub use api::{ApiResume, HttpParseError, HttpRequest, JobApi, JobWait, SubmitError, SubmitOk};
 pub use cache::{report_checksum, CacheKey, CacheLookup, PlanCache};
 pub use fault::{FaultPlan, FaultSite, FaultSpec};
+pub use http::{CancelSlot, Connector, TcpConnector};
 pub use job::{JobError, JobHandle, JobOptions};
 pub use journal::{
     CompactionStats, JobEntry, Journal, JournalError, Record, RecordError, RunHeader,
@@ -134,9 +143,7 @@ pub use netfault::{
     FaultConnector, FaultProxy, NetFault, NetFaultPlan, NetFaultSite, NetFaultSpec,
 };
 pub use obs::{LatencyHistogram, Obs, ProfileAgg, SpanEvent, SpanKind, Stage, Tracer};
-pub use router::{
-    BackendHealth, CancelSlot, Connector, Ring, Router, RouterConfig, RouterServer, TcpConnector,
-};
+pub use router::{BackendHealth, Ring, Router, RouterConfig, RouterServer};
 pub use scheduler::{ExecResult, LoadPolicy, ProfiledSimResult, Runtime, RuntimeConfig, SimResult};
 pub use serve::{
     JobOutput, JobRecord, JournalOptions, ServeError, ServeOptions, ServeReport,

@@ -5,7 +5,8 @@
 //! backend token, request fingerprint, attempt)`, whether a given wire
 //! fault fires on a given exchange. The backend token is the FNV-1a of
 //! the dialed address, the request fingerprint is the FNV-1a of the raw
-//! request bytes, and the attempt numbers repeated exchanges of the
+//! request bytes minus the per-attempt `X-CF-Trace` header
+//! ([`fault_key`]), and the attempt numbers repeated exchanges of the
 //! same `(backend, request)` pair — so one seed reproduces the same
 //! fault *schedule* at any concurrency: the n-th identical request to a
 //! backend always draws the n-th decision, no matter how other traffic
@@ -28,24 +29,27 @@
 //!
 //! Two deployment shapes share the same plan: the in-process
 //! [`FaultConnector`] decorating the router's real dialer (the
-//! [`Connector`] seam in [`crate::router`]), and the standalone
+//! [`Connector`] seam in [`crate::http`]), and the standalone
 //! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`) for black-box
 //! end-to-end runs where the victim must not even link the fault code.
-//! See DESIGN.md §11.
+//! The proxy is only fault logic: its listener and request reader are
+//! [`crate::http`]'s, and its upstream leg is the plain
+//! [`TcpConnector`]. See DESIGN.md §11.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::api;
 use crate::fault::{fnv1a, mix};
-use crate::router::{CancelSlot, Connector};
+use crate::http::{self, CancelSlot, Connector, Server, TcpConnector};
 use crate::sync;
+use crate::trace::TRACE_HEADER;
 
 /// Where a wire fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -304,6 +308,25 @@ pub fn mangle(bytes: &mut Vec<u8>, fault: NetFault, key: u64) {
     }
 }
 
+/// The request fingerprint fault decisions are keyed on: the FNV-1a of
+/// the raw request bytes with the `X-CF-Trace` header line left out.
+/// That header carries a span id minted per attempt from wall-clock
+/// entropy, so hashing it would give every run a different fault
+/// schedule; without it, a traced request hashes exactly like the same
+/// request sent untraced.
+pub fn fault_key(raw: &[u8]) -> u64 {
+    let head = &raw[..raw.windows(4).position(|w| w == b"\r\n\r\n").unwrap_or(0)];
+    let line = format!("\r\n{TRACE_HEADER}:");
+    let Some(at) = head.windows(line.len()).position(|w| w.eq_ignore_ascii_case(line.as_bytes()))
+    else {
+        return fnv1a(raw);
+    };
+    // Cut from the CRLF before the header to the end of its value.
+    let len =
+        head[at + 2..].windows(2).position(|w| w == b"\r\n").map_or(head.len() - at, |n| n + 2);
+    fnv1a(&[&raw[..at], &raw[at + len..]].concat())
+}
+
 /// Numbers repeated exchanges of the same `(backend, fingerprint)`
 /// pair: the n-th call returns n-1. Shared by the connector decorator
 /// and the proxy so both key decisions the same way.
@@ -359,7 +382,7 @@ impl Connector for FaultConnector {
         cancel: Option<&CancelSlot>,
     ) -> std::io::Result<Vec<u8>> {
         let backend = fnv1a(addr.as_bytes());
-        let fingerprint = fnv1a(raw);
+        let fingerprint = fault_key(raw);
         let attempt = self.ledger.next(backend, fingerprint);
         let Some(fault) = self.plan.decide(backend, fingerprint, attempt) else {
             return self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel);
@@ -394,10 +417,6 @@ impl Connector for FaultConnector {
 const PROXY_CONNECT: Duration = Duration::from_secs(2);
 /// Proxy-side read timeout: must outlast a `/jobs/<id>` long-poll.
 const PROXY_READ: Duration = Duration::from_secs(150);
-/// Time a proxied client gets to deliver one complete request.
-const PROXY_CLIENT_READ: Duration = Duration::from_secs(10);
-/// How long the accept loop sleeps when no connection is pending.
-const PROXY_POLL: Duration = Duration::from_millis(10);
 /// Trickle chunk size: small enough that a trickled record crosses many
 /// writes, large enough to finish inside a test timeout.
 const TRICKLE_CHUNK: usize = 256;
@@ -406,12 +425,11 @@ const TRICKLE_CHUNK: usize = 256;
 /// forwards each complete request to `upstream`, and applies the plan's
 /// faults to the raw response bytes on the way back. Black-box: the
 /// process under test just dials the proxy's address as if it were the
-/// backend (`cfrouter --fault-proxy`).
+/// backend (`cfrouter --fault-proxy`). The listener is a
+/// [`crate::http::Server`] and the upstream leg is a [`TcpConnector`].
 #[derive(Debug)]
 pub struct FaultProxy {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    server: Server,
 }
 
 impl FaultProxy {
@@ -420,133 +438,52 @@ impl FaultProxy {
     ///
     /// # Errors
     ///
-    /// Any socket bind/configure failure, unchanged.
+    /// Any socket bind failure, unchanged.
     pub fn bind(port: u16, upstream: &str, plan: NetFaultPlan) -> std::io::Result<FaultProxy> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let upstream = upstream.to_string();
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            thread::Builder::new().name("cf-fault-proxy".to_string()).spawn(move || {
-                accept_loop(&listener, &upstream, plan, &shutdown);
-            })?
-        };
-        Ok(FaultProxy { addr, shutdown, thread: Some(thread) })
+        let ledger = AttemptLedger::default();
+        let server = Server::bind(port, "cf-fault-proxy", move |stream| {
+            let _ = proxy_connection(stream, &upstream, &plan, &ledger);
+        })?;
+        Ok(FaultProxy { server })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops the accept loop and joins its thread (also done on drop).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, upstream: &str, plan: NetFaultPlan, shutdown: &AtomicBool) {
-    let ledger = Arc::new(AttemptLedger::default());
-    let plan = Arc::new(plan);
-    let upstream = Arc::new(upstream.to_string());
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let ledger = Arc::clone(&ledger);
-                let plan = Arc::clone(&plan);
-                let upstream = Arc::clone(&upstream);
-                let spawned = thread::Builder::new().name("cf-fault-proxy-conn".to_string()).spawn(
-                    move || {
-                        let _ = proxy_connection(stream, &upstream, &plan, &ledger);
-                    },
-                );
-                drop(spawned);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(PROXY_POLL),
-            Err(_) => thread::sleep(PROXY_POLL),
-        }
+    /// Stops accepting and returns once every connection already
+    /// accepted has been answered (also done on drop).
+    pub fn shutdown(self) {
+        self.server.shutdown();
     }
 }
 
 /// Reads one complete request off `client`, decides the fault for its
-/// `(upstream, request-bytes)` point, forwards, mangles, answers.
+/// `(upstream, request)` point, forwards the request bytes verbatim,
+/// mangles the reply, answers.
 fn proxy_connection(
     mut client: TcpStream,
     upstream: &str,
     plan: &NetFaultPlan,
     ledger: &AttemptLedger,
 ) -> std::io::Result<()> {
-    client.set_read_timeout(Some(Duration::from_millis(500)))?;
-    client.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 4096];
-    let deadline = Instant::now() + PROXY_CLIENT_READ;
-    loop {
-        match api::parse_request(&buf, api::DEFAULT_MAX_BODY_BYTES) {
-            Ok(Some(_)) => break,
-            Ok(None) => {}
-            // Unparseable request: forward nothing, drop the client.
-            Err(_) => return Ok(()),
-        }
-        if Instant::now() > deadline {
-            return Ok(());
-        }
-        match client.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return Ok(()),
-        }
-    }
-
+    // Unparseable or abandoned request: forward nothing, drop the client.
+    let Ok(Some((_, raw))) = http::read_request(&mut client, api::DEFAULT_MAX_BODY_BYTES) else {
+        return Ok(());
+    };
     let backend = fnv1a(upstream.as_bytes());
-    let fingerprint = fnv1a(&buf);
+    let fingerprint = fault_key(&raw);
     let attempt = ledger.next(backend, fingerprint);
     let fault = plan.decide(backend, fingerprint, attempt);
-    if fault == Some(NetFault::Refuse) {
+    match fault {
         // Connect refusal, black-box style: close without a byte.
-        return Ok(());
+        Some(NetFault::Refuse) => return Ok(()),
+        Some(NetFault::ConnectLatency(d)) => thread::sleep(d),
+        _ => {}
     }
-    if let Some(NetFault::ConnectLatency(d)) = fault {
-        thread::sleep(d);
-    }
-
-    let sock: SocketAddr = upstream.parse().map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{upstream}: {e}"))
-    })?;
-    let mut up = TcpStream::connect_timeout(&sock, PROXY_CONNECT)?;
-    up.set_read_timeout(Some(PROXY_READ))?;
-    up.set_write_timeout(Some(PROXY_CONNECT))?;
-    up.write_all(&buf)?;
-    let mut bytes = Vec::with_capacity(1024);
-    loop {
-        match up.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
-
+    let mut bytes = TcpConnector.exchange(upstream, &raw, PROXY_CONNECT, PROXY_READ, None)?;
     match fault {
         Some(f @ (NetFault::Tear | NetFault::Garbage | NetFault::Corrupt)) => {
             mangle(&mut bytes, f, mix(backend, fingerprint));
@@ -646,6 +583,14 @@ mod tests {
         assert_eq!(diff, 1, "corrupt flips exactly one byte");
         let head_end = reply.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
         assert_eq!(&flipped[..head_end], &reply[..head_end], "corrupt stays in the body");
+    }
+
+    #[test]
+    fn fault_key_ignores_only_the_trace_header() {
+        let plain = fnv1a(b"GET /x HTTP/1.1\r\nHost: a\r\n\r\nbody");
+        assert_eq!(fault_key(b"GET /x HTTP/1.1\r\nHost: a\r\nx-cf-trace: 1-2\r\n\r\nbody"), plain);
+        assert_eq!(fault_key(b"GET /x HTTP/1.1\r\nX-CF-Trace: 3-4\r\nHost: a\r\n\r\nbody"), plain);
+        assert_ne!(fault_key(b"GET /x HTTP/1.1\r\nHost: b\r\n\r\nbody"), plain);
     }
 
     #[test]

@@ -352,6 +352,11 @@ impl Tracer {
         }
     }
 
+    /// The instant span [`at`](SpanEvent::at) offsets count from.
+    pub(crate) fn epoch(&self) -> Instant {
+        self.started
+    }
+
     /// A disabled tracer: every record/observe is a cheap no-op.
     pub fn disabled() -> Self {
         let tracer = Tracer::new(1);
@@ -543,6 +548,12 @@ impl Tracer {
         let ring = sync::lock(&self.ring);
         let skip = ring.len().saturating_sub(limit);
         ring.iter().skip(skip).cloned().collect()
+    }
+
+    /// The retained events about `token`, oldest first (copies only
+    /// those, not the whole ring).
+    pub(crate) fn events_for(&self, token: u64) -> Vec<SpanEvent> {
+        sync::lock(&self.ring).iter().filter(|e| e.token == token).cloned().collect()
     }
 
     /// Renders the `/trace` payload: recent events plus every stage's

@@ -47,18 +47,24 @@
 //! `GET /jobs/<id>` and `GET /jobs/<id>/status` proxy to the owning
 //! backend with the backend-local job id translated to the router's
 //! fleet-wide id, so a client cannot tell the fleet from one big
-//! instance. See DESIGN.md §10.
+//! instance. This module only routes: the listener, the request reader,
+//! the response writer and the dialer are the shared [`crate::http`]
+//! layer, so the router's own answers — parse errors included — carry
+//! `X-CF-Digest` like a backend's. See DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::api::{self, HttpRequest};
 use crate::fault::fnv1a;
+use crate::http::{
+    self, digest_ok, parse_reply, CancelSlot, Connector, Reply, Response, Server, TcpConnector,
+    PROM_TEXT,
+};
 use crate::netfault::{FaultConnector, NetFaultPlan};
 use crate::obs::LatencyHistogram;
 use crate::serve::{json_str, verify_record_json};
@@ -66,15 +72,6 @@ use crate::stats::RouterStats;
 use crate::supervisor::{next_retry, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::sync;
 use crate::trace::{Attribution, TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
-
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Per-read/write socket timeout on *client* connections.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Total time a client gets to deliver one complete request.
-const READ_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Minimum submit-latency samples before the hedge threshold trusts the
 /// histogram's quantile over the configured floor.
@@ -397,164 +394,8 @@ impl Default for RouterConfig {
 }
 
 // ---------------------------------------------------------------------------
-// HTTP plumbing (client side)
+// Submit attempts and merged traces
 // ---------------------------------------------------------------------------
-
-/// One parsed backend reply.
-#[derive(Debug, Clone)]
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-}
-
-/// A handle the hedging path uses to abort the losing request: the
-/// in-flight stream is registered here, and `cancel` shuts it down so
-/// the loser unblocks instead of riding out its read timeout. Public
-/// only because it appears in the [`Connector`] seam's signature; a
-/// fault decorator just passes it through to the real dialer.
-#[derive(Debug, Default)]
-pub struct CancelSlot {
-    stream: Mutex<Option<TcpStream>>,
-    cancelled: AtomicBool,
-}
-
-impl CancelSlot {
-    fn arm(&self, stream: &TcpStream) {
-        let clone = stream.try_clone().ok();
-        *sync::lock(&self.stream) = clone;
-        if self.cancelled.load(Ordering::SeqCst) {
-            self.cancel();
-        }
-    }
-
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-        if let Some(s) = sync::lock(&self.stream).take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// The router's wire seam: one blocking HTTP/1.1 exchange returning the
-/// **raw response bytes** (parsing happens above the seam, so a
-/// decorator — [`crate::netfault::FaultConnector`] — can refuse, delay,
-/// tear, garble, or corrupt at the byte level exactly like a real
-/// network would).
-pub trait Connector: Send + Sync + std::fmt::Debug {
-    /// Dials `addr`, writes `raw`, reads the response to EOF (the peer
-    /// closes the connection after its response, which frames the
-    /// body). `cancel`, when present, lets a hedging caller abort the
-    /// exchange mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// Connect/read/write failures, unchanged from the socket layer.
-    fn exchange(
-        &self,
-        addr: &str,
-        raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
-    ) -> std::io::Result<Vec<u8>>;
-}
-
-/// The real dialer: plain blocking TCP, no faults.
-#[derive(Debug, Default)]
-pub struct TcpConnector;
-
-impl Connector for TcpConnector {
-    fn exchange(
-        &self,
-        addr: &str,
-        raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
-    ) -> std::io::Result<Vec<u8>> {
-        let sock: SocketAddr = addr.parse().map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr}: {e}"))
-        })?;
-        let mut stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(connect_timeout))?;
-        if let Some(slot) = cancel {
-            slot.arm(&stream);
-        }
-        stream.write_all(raw)?;
-        let mut bytes = Vec::with_capacity(1024);
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-                Err(e) => {
-                    if bytes.is_empty() {
-                        return Err(e);
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(bytes)
-    }
-}
-
-fn parse_reply(bytes: &[u8]) -> std::io::Result<Reply> {
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let head_end =
-        bytes.windows(4).position(|w| w == b"\r\n\r\n").ok_or_else(|| bad("truncated reply"))?;
-    let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| bad("non-UTF-8 reply head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty reply"))?;
-    // A real peer always leads with the protocol version; anything else
-    // is line noise (a garbled status line must not parse as a reply).
-    if !status_line.starts_with("HTTP/") {
-        return Err(bad("malformed status line"));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.to_string(), v.trim().to_string()))
-        .collect();
-    let mut body = bytes[head_end + 4..].to_vec();
-    // Read-to-EOF framing cannot tell a complete body from a torn one
-    // on its own — hold the peer to its declared Content-Length.
-    if let Some(declared) = headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if body.len() < declared {
-            return Err(bad("torn reply: body shorter than Content-Length"));
-        }
-        body.truncate(declared);
-    }
-    Ok(Reply { status, headers, body })
-}
-
-/// Whether the reply's `X-CF-Digest` header (when present) matches its
-/// body bytes. Replies without the header pass — the check is for peers
-/// that stamp it (every `cfserve` does).
-fn digest_ok(reply: &Reply) -> bool {
-    match reply.header("x-cf-digest") {
-        Some(h) => {
-            u64::from_str_radix(h.trim(), 16).map(|d| d == fnv1a(&reply.body)).unwrap_or(false)
-        }
-        None => true,
-    }
-}
 
 /// One resolved (possibly hedged) submit attempt: which backend
 /// answered first, under which attempt trace context and cause, fired
@@ -742,22 +583,6 @@ fn render_merged_trace(
     format!("{{\"trace\":\"{trace_id:032x}\",\"traceEvents\":{}}}", Value::Array(evs))
 }
 
-/// Maps a relayed backend status code to a status line the router can
-/// answer with (unknown codes degrade to 502).
-fn status_line(code: u16) -> &'static str {
-    match code {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        413 => "413 Payload Too Large",
-        500 => "500 Internal Server Error",
-        503 => "503 Service Unavailable",
-        _ => "502 Bad Gateway",
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Distributed-trace spans and SLO accounting
 // ---------------------------------------------------------------------------
@@ -916,36 +741,6 @@ struct JobRoute {
     backoff_us: u64,
 }
 
-/// One response from the router, ready to serialize.
-struct RouterResponse {
-    status: &'static str,
-    content_type: &'static str,
-    retry_after: Option<u64>,
-    allow: Option<&'static str>,
-    /// Extra response headers (`X-CF-Trace`, `X-CF-Attribution`) —
-    /// trace identity and latency attribution ride as headers only, so
-    /// relayed record bodies stay byte-identical to the backend's.
-    extra: Vec<(&'static str, String)>,
-    body: String,
-}
-
-impl RouterResponse {
-    fn json(status: &'static str, body: String) -> RouterResponse {
-        RouterResponse {
-            status,
-            content_type: "application/json",
-            retry_after: None,
-            allow: None,
-            extra: Vec::new(),
-            body,
-        }
-    }
-
-    fn error(status: &'static str, message: &str) -> RouterResponse {
-        RouterResponse::json(status, format!("{{\"error\":{}}}", json_str(message)))
-    }
-}
-
 /// The shard router (see the module docs). Construct with
 /// [`Router::new`], serve with [`RouterServer::bind`], and start the
 /// health prober with [`Router::start_prober`].
@@ -958,8 +753,8 @@ pub struct Router {
     next_id: AtomicU64,
     stats: RouterStats,
     submit_latency: LatencyHistogram,
-    shutdown: Arc<AtomicBool>,
-    prober: Mutex<Option<thread::JoinHandle<()>>>,
+    /// The prober thread and the sender whose drop stops it.
+    prober: Mutex<Option<(mpsc::Sender<()>, thread::JoinHandle<()>)>>,
     connector: Arc<dyn Connector>,
     /// The router's span clock zero (span offsets are µs since this).
     started: Instant,
@@ -992,7 +787,6 @@ impl Router {
             next_id: AtomicU64::new(0),
             stats: RouterStats::default(),
             submit_latency: LatencyHistogram::default(),
-            shutdown: Arc::new(AtomicBool::new(false)),
             prober: Mutex::new(None),
             connector,
             started: Instant::now(),
@@ -1007,12 +801,14 @@ impl Router {
         &self,
         addr: &str,
         raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
+        timeouts: (Duration, Duration),
     ) -> std::io::Result<Reply> {
-        let bytes = self.connector.exchange(addr, raw, connect_timeout, read_timeout, cancel)?;
-        parse_reply(&bytes)
+        parse_reply(&self.connector.exchange(addr, raw, timeouts.0, timeouts.1, None)?)
+    }
+
+    /// The `(connect, read)` timeouts of a proxied request.
+    fn proxy_timeouts(&self) -> (Duration, Duration) {
+        (self.config.connect_timeout, self.config.read_timeout)
     }
 
     /// The router's counters.
@@ -1064,29 +860,29 @@ impl Router {
             return;
         }
         let router = Arc::clone(self);
-        let shutdown = Arc::clone(&self.shutdown);
+        let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let spawned =
-            thread::Builder::new().name("cf-router-prober".to_string()).spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    router.probe_once();
-                    let mut slept = Duration::ZERO;
-                    while slept < router.config.probe_interval && !shutdown.load(Ordering::SeqCst) {
-                        let step = POLL_INTERVAL.min(router.config.probe_interval - slept);
-                        thread::sleep(step);
-                        slept += step;
-                    }
+            thread::Builder::new().name("cf-router-prober".to_string()).spawn(move || loop {
+                router.probe_once();
+                // Sleeps one probe interval; `stop` dropping the sender
+                // ends the wait (and the loop) at once.
+                if stop_rx.recv_timeout(router.config.probe_interval)
+                    != Err(mpsc::RecvTimeoutError::Timeout)
+                {
+                    return;
                 }
             });
         if let Ok(handle) = spawned {
-            *slot = Some(handle);
+            *slot = Some((stop_tx, handle));
         }
     }
 
     /// Stops the prober thread (also done when a [`RouterServer`] shuts
     /// down).
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = sync::lock(&self.prober).take() {
+        let prober = sync::lock(&self.prober).take();
+        if let Some((stop_tx, handle)) = prober {
+            drop(stop_tx);
             let _ = handle.join();
         }
     }
@@ -1094,24 +890,13 @@ impl Router {
     /// Runs one health-probe pass over every backend (the prober thread
     /// calls this on its cadence; tests call it directly).
     pub fn probe_once(&self) {
-        let addrs: Vec<(usize, String)> = {
-            let backends = sync::lock(&self.backends);
-            backends.iter().enumerate().map(|(i, b)| (i, b.addr.clone())).collect()
-        };
-        for (idx, addr) in addrs {
+        for (idx, addr) in self.backend_addrs().into_iter().enumerate() {
             let raw = b"GET /healthz HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n";
-            let reply = self.exchange(
-                &addr,
-                raw,
-                self.config.probe_timeout,
-                self.config.probe_timeout,
-                None,
-            );
+            let timeout = self.config.probe_timeout;
+            let reply = self.exchange(&addr, raw, (timeout, timeout));
             let probe = match reply {
                 Ok(r) if r.status == 200 => Probe::Ok,
-                Ok(r) if String::from_utf8_lossy(&r.body).contains("\"status\":\"draining\"") => {
-                    Probe::Draining
-                }
+                Ok(r) if r.text().contains("\"status\":\"draining\"") => Probe::Draining,
                 Ok(r) => Probe::Failed(format!("healthz answered {}", r.status)),
                 Err(e) => Probe::Failed(e.to_string()),
             };
@@ -1144,6 +929,10 @@ impl Router {
             Some(b) => b.health == BackendHealth::Up && b.breaker.allow(),
             None => false,
         }
+    }
+
+    fn backend_addrs(&self) -> Vec<String> {
+        sync::lock(&self.backends).iter().map(|b| b.addr.clone()).collect()
     }
 
     fn backend_addr(&self, idx: usize) -> String {
@@ -1347,7 +1136,7 @@ impl Router {
     /// whole dispatch becomes the trace's root router span — parented
     /// to the client's context when one was propagated in — and the
     /// response echoes the root on `X-CF-Trace`.
-    fn submit(&self, body: &[u8], client: Option<TraceContext>) -> RouterResponse {
+    fn submit(&self, body: &[u8], client: Option<TraceContext>) -> Response {
         let root = match client {
             Some(c) => c.child(),
             None => TraceContext::mint(),
@@ -1363,16 +1152,16 @@ impl Router {
             backend: None,
             start_us: dur_us(t0.duration_since(self.started)),
             dur_us: dur_us(t0.elapsed()),
-            outcome: if response.status.starts_with("202") { "ok" } else { "failed" },
+            outcome: if response.status == 202 { "ok" } else { "failed" },
         });
-        response.extra.push((TRACE_HEADER, root.encode()));
+        response.headers.push((TRACE_HEADER, root.encode()));
         response
     }
 
     /// The submit failover loop under the dispatch span `root`.
-    fn submit_routed(&self, body: &[u8], root: TraceContext, t0: Instant) -> RouterResponse {
+    fn submit_routed(&self, body: &[u8], root: TraceContext, t0: Instant) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
-            return RouterResponse::error("400 Bad Request", "body is not UTF-8");
+            return Response::error(400, "body is not UTF-8");
         };
         let fingerprint = api::routing_fingerprint(text);
         let started = Instant::now();
@@ -1382,7 +1171,7 @@ impl Router {
         loop {
             let candidates = self.candidates(fingerprint);
             let Some(&target) = candidates.get(failures as usize % candidates.len().max(1)) else {
-                return RouterResponse::error("502 Bad Gateway", "no backends configured");
+                return Response::error(502, "no backends configured");
             };
             let hedge = hedge_pick(&candidates, target, |c| self.routable(c));
             let attempt = self.exchange_hedged(root, cause, target, hedge, text);
@@ -1422,8 +1211,8 @@ impl Router {
                     // The reply does not match its own digest: the wire
                     // (or the backend) is lying. Never trust it.
                     self.note_corruption(winner);
-                    let error = RouterResponse::error(
-                        "502 Bad Gateway",
+                    let error = Response::error(
+                        502,
                         &format!("backend {}: corrupt response", self.backend_addr(winner)),
                     );
                     (error, "corrupt-failover")
@@ -1435,8 +1224,8 @@ impl Router {
                 }
                 Err(e) => {
                     self.note_request_outcome(winner, false);
-                    let error = RouterResponse::error(
-                        "502 Bad Gateway",
+                    let error = Response::error(
+                        502,
                         &format!("backend {}: {e}", self.backend_addr(winner)),
                     );
                     (error, "eject-failover")
@@ -1472,10 +1261,10 @@ impl Router {
         root: TraceContext,
         accepted_at: Instant,
         backoff_us: u64,
-    ) -> Result<RouterResponse, RouterResponse> {
-        let text = String::from_utf8_lossy(&reply.body);
+    ) -> Result<Response, Response> {
+        let text = reply.text();
         let Ok(value) = serde_json::from_str(&text) else {
-            return Err(RouterResponse::error("502 Bad Gateway", "unparseable backend accept"));
+            return Err(Response::error(502, "unparseable backend accept"));
         };
         // Per-element specs: an array submission retains each element as
         // its own resubmittable body.
@@ -1491,7 +1280,7 @@ impl Router {
         } else if let Some(ids) = value.get("ids").and_then(|v| v.as_array()) {
             ids.iter().filter_map(|v| v.as_u64()).collect()
         } else {
-            return Err(RouterResponse::error("502 Bad Gateway", "backend accept carries no id"));
+            return Err(Response::error(502, "backend accept carries no id"));
         };
         let base = self.next_id.fetch_add(backend_ids.len() as u64, Ordering::Relaxed);
         {
@@ -1521,19 +1310,19 @@ impl Router {
                 (0..backend_ids.len() as u64).map(|o| (base + o).to_string()).collect();
             format!("{{\"ids\":[{}]}}", ids.join(","))
         };
-        Ok(RouterResponse::json("202 Accepted", body))
+        Ok(Response::json(202, body))
     }
 
     // -- GET /jobs/<id>[/status] --------------------------------------------
 
     /// Proxies a job poll to the owning backend, translating ids both
     /// ways; a dead owner triggers resubmission to the next replica.
-    fn poll(&self, rid: u64, status_only: bool, query: Option<&str>) -> RouterResponse {
+    fn poll(&self, rid: u64, status_only: bool, query: Option<&str>) -> Response {
         let started = Instant::now();
         let mut failures = 0u32;
         loop {
             let Some(route) = sync::lock(&self.jobs).get(&rid).cloned() else {
-                return RouterResponse::error("404 Not Found", "no such job");
+                return Response::error(404, "no such job");
             };
             let suffix = if status_only { "/status" } else { "" };
             let q = query.map(|q| format!("?{q}")).unwrap_or_default();
@@ -1543,13 +1332,7 @@ impl Router {
             )
             .into_bytes();
             let addr = self.backend_addr(route.backend);
-            let reply = self.exchange(
-                &addr,
-                &raw,
-                self.config.connect_timeout,
-                self.config.read_timeout,
-                None,
-            );
+            let reply = self.exchange(&addr, &raw, self.proxy_timeouts());
             match reply {
                 Ok(r)
                     if (r.status == 200 || r.status == 202)
@@ -1563,14 +1346,14 @@ impl Router {
                     // Trace/attribution ride only as headers, never in
                     // the record body: byte-identity is preserved.
                     if let Some(trace) = r.header(TRACE_HEADER) {
-                        response.extra.push((TRACE_HEADER, trace.to_string()));
+                        response.headers.push((TRACE_HEADER, trace.to_string()));
                     }
                     if r.status == 200 {
                         if let Some(attr) =
                             r.header(ATTRIBUTION_HEADER).and_then(Attribution::parse)
                         {
                             response
-                                .extra
+                                .headers
                                 .push((ATTRIBUTION_HEADER, self.finish_attribution(&route, attr)));
                         }
                     }
@@ -1595,8 +1378,8 @@ impl Router {
             let jitter = Self::failover_jitter(route.fingerprint ^ rid, failures);
             let Some(backoff) = next_retry(&self.config.retry, failures, started.elapsed(), jitter)
             else {
-                return RouterResponse::error(
-                    "502 Bad Gateway",
+                return Response::error(
+                    502,
                     &format!("job {rid}: backend {addr} unreachable and failover exhausted"),
                 );
             };
@@ -1629,7 +1412,7 @@ impl Router {
             return false;
         }
         if reply.status == 200 && !status_only {
-            let body = String::from_utf8_lossy(&reply.body);
+            let body = reply.text();
             return verify_record_json(body.trim_end_matches('\n'), Some(route.backend_id));
         }
         true
@@ -1693,13 +1476,7 @@ impl Router {
             let fired_at = Instant::now();
             let raw = submit_raw(&route.spec, ctx);
             let addr = self.backend_addr(target);
-            let reply = self.exchange(
-                &addr,
-                &raw,
-                self.config.connect_timeout,
-                self.config.read_timeout,
-                None,
-            );
+            let reply = self.exchange(&addr, &raw, self.proxy_timeouts());
             match reply {
                 Ok(r) if r.status == 202 && !digest_ok(&r) => {
                     self.note_corruption(target);
@@ -1707,7 +1484,7 @@ impl Router {
                 }
                 Ok(r) if r.status == 202 => {
                     self.note_request_outcome(target, true);
-                    let text = String::from_utf8_lossy(&r.body);
+                    let text = r.text();
                     let id = serde_json::from_str(&text)
                         .ok()
                         .and_then(|v: serde_json::Value| v.get("id").and_then(|i| i.as_u64()));
@@ -1730,7 +1507,7 @@ impl Router {
 
     /// The router's `/healthz`: healthy while at least one backend is
     /// routable.
-    fn healthz(&self) -> RouterResponse {
+    fn healthz(&self) -> Response {
         let backends = sync::lock(&self.backends);
         let mut up = 0usize;
         let mut draining = 0usize;
@@ -1750,7 +1527,7 @@ impl Router {
             if healthy { "\"ok\"" } else { "\"no-backends\"" },
             backends.len(),
         );
-        RouterResponse::json(if healthy { "200 OK" } else { "503 Service Unavailable" }, body)
+        Response::json(if healthy { 200 } else { 503 }, body)
     }
 
     /// The router's `/stats`: counters plus the live backend table.
@@ -1848,6 +1625,46 @@ impl Router {
         )
     }
 
+    /// GETs `target` from every backend in parallel and returns the
+    /// digest-verified `200` bodies by backend index. A corrupt answer
+    /// is booked against its backend and, like an unreachable one,
+    /// simply absent.
+    fn scrape(&self, target: &str) -> Vec<(usize, String)> {
+        let addrs = self.backend_addrs();
+        let raw = format!("GET {target} HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n");
+        let connect = self.config.connect_timeout;
+        let read = self.config.probe_timeout.max(Duration::from_secs(2));
+        let replies: Vec<(usize, Option<Reply>)> = thread::scope(|scope| {
+            let fetches: Vec<_> = addrs
+                .iter()
+                .map(|addr| {
+                    let raw = raw.as_bytes();
+                    thread::Builder::new().name("cf-router-scrape".to_string()).spawn_scoped(
+                        scope,
+                        move || {
+                            self.connector
+                                .exchange(addr, raw, connect, read, None)
+                                .and_then(|bytes| parse_reply(&bytes))
+                                .ok()
+                                .filter(|r| r.status == 200)
+                        },
+                    )
+                })
+                .collect();
+            let joined = fetches.into_iter().map(|f| f.ok().and_then(|h| h.join().ok()).flatten());
+            joined.enumerate().collect()
+        });
+        let mut bodies = Vec::new();
+        for (i, reply) in replies {
+            match reply {
+                Some(r) if digest_ok(&r) => bodies.push((i, r.text().into_owned())),
+                Some(_) => self.note_corruption(i),
+                None => {}
+            }
+        }
+        bodies
+    }
+
     /// Assembles the fleet-wide trace for `trace_id`: the router's own
     /// spans plus matching spans scraped from every backend's `/trace`,
     /// merged into one Chrome-trace (`traceEvents`) document. The
@@ -1858,57 +1675,12 @@ impl Router {
     pub fn trace_json(&self, trace_id: u128) -> String {
         let router_spans: Vec<RouterSpan> =
             sync::lock(&self.spans).iter().filter(|s| s.trace_id == trace_id).cloned().collect();
-        let addrs: Vec<String> = {
-            let backends = sync::lock(&self.backends);
-            backends.iter().map(|b| b.addr.clone()).collect()
-        };
-        // Scrape every backend in parallel, mirroring `metrics()`: a
-        // corrupt or unreachable instance is simply absent from the
-        // merge.
-        let (tx, rx) = mpsc::channel::<(usize, Option<String>, bool)>();
-        let mut expected = 0usize;
-        for (i, addr) in addrs.iter().enumerate() {
-            let tx = tx.clone();
-            let addr = addr.clone();
-            let connector = Arc::clone(&self.connector);
-            let connect = self.config.connect_timeout;
-            let read = self.config.probe_timeout.max(Duration::from_secs(2));
-            let spawned =
-                thread::Builder::new().name("cf-router-scrape".to_string()).spawn(move || {
-                    let raw = format!(
-                        "GET /trace?trace={trace_id:032x}&limit=4096 HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
-                    );
-                    let reply = connector
-                        .exchange(&addr, raw.as_bytes(), connect, read, None)
-                        .and_then(|bytes| parse_reply(&bytes))
-                        .ok()
-                        .filter(|r| r.status == 200);
-                    let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
-                    let body = reply
-                        .filter(digest_ok)
-                        .map(|r| String::from_utf8_lossy(&r.body).to_string());
-                    let _ = tx.send((i, body, corrupt));
-                });
-            if spawned.is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut scraped: Vec<(usize, Vec<BackendTraceEvent>)> = Vec::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok((i, Some(body), _)) => {
-                    if let Some(events) = parse_backend_trace(&body, trace_id) {
-                        scraped.push((i, events));
-                    }
-                }
-                Ok((i, None, true)) => self.note_corruption(i),
-                Ok((_, None, false)) => {}
-                Err(_) => break,
-            }
-        }
-        scraped.sort_by_key(|&(i, _)| i);
-        render_merged_trace(trace_id, &router_spans, &scraped, &addrs)
+        let scraped: Vec<(usize, Vec<BackendTraceEvent>)> = self
+            .scrape(&format!("/trace?trace={trace_id:032x}&limit=4096"))
+            .into_iter()
+            .filter_map(|(i, body)| Some((i, parse_backend_trace(&body, trace_id)?)))
+            .collect();
+        render_merged_trace(trace_id, &router_spans, &scraped, &self.backend_addrs())
     }
 
     /// The aggregated `/metrics` body: every live backend's exposition
@@ -1916,52 +1688,8 @@ impl Router {
     /// schema-stable, so families align), plus the router's own
     /// `cf_router_*` series.
     pub fn metrics(&self) -> String {
-        let addrs: Vec<String> = {
-            let backends = sync::lock(&self.backends);
-            backends.iter().map(|b| b.addr.clone()).collect()
-        };
-        let (tx, rx) = mpsc::channel::<(usize, Option<String>, bool)>();
-        let mut expected = 0usize;
-        for (i, addr) in addrs.iter().enumerate() {
-            let tx = tx.clone();
-            let addr = addr.clone();
-            let connector = Arc::clone(&self.connector);
-            let connect = self.config.connect_timeout;
-            let read = self.config.probe_timeout.max(Duration::from_secs(2));
-            let spawned =
-                thread::Builder::new().name("cf-router-scrape".to_string()).spawn(move || {
-                    let raw =
-                        b"GET /metrics HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n";
-                    let reply = connector
-                        .exchange(&addr, raw, connect, read, None)
-                        .and_then(|bytes| parse_reply(&bytes))
-                        .ok()
-                        .filter(|r| r.status == 200);
-                    // A scraped exposition failing its digest is dropped
-                    // from the merge, exactly like an unreachable one.
-                    let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
-                    let body = reply
-                        .filter(digest_ok)
-                        .map(|r| String::from_utf8_lossy(&r.body).to_string());
-                    let _ = tx.send((i, body, corrupt));
-                });
-            if spawned.is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut bodies: Vec<(usize, String)> = Vec::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok((i, Some(body), _)) => bodies.push((i, body)),
-                Ok((i, None, true)) => self.note_corruption(i),
-                Ok((_, None, false)) => {}
-                Err(_) => break,
-            }
-        }
-        bodies.sort_by_key(|&(i, _)| i);
         let mut out = String::with_capacity(32 * 1024);
-        for (n, (_, body)) in bodies.iter().enumerate() {
+        for (n, (_, body)) in self.scrape("/metrics").iter().enumerate() {
             if n == 0 {
                 out.push_str(body);
             } else {
@@ -2113,62 +1841,29 @@ impl Router {
 
     // -- Request dispatch ---------------------------------------------------
 
-    /// Routes one parsed client request (the [`RouterServer`] accept
-    /// loop calls this per connection).
-    pub fn handle(&self, request: &HttpRequest) -> (String, String) {
-        let response = self.dispatch(request);
-        // The router stamps its own responses too, so a client can hold
-        // the whole chain (backend → router → client) to one check.
-        let mut head = format!(
-            "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\nX-CF-Digest: {:016x}\r\n",
-            response.status,
-            response.content_type,
-            response.body.len(),
-            fnv1a(response.body.as_bytes()),
-        );
-        if let Some(allow) = response.allow {
-            head.push_str(&format!("Allow: {allow}\r\n"));
-        }
-        if let Some(secs) = response.retry_after {
-            head.push_str(&format!("Retry-After: {secs}\r\n"));
-        }
-        for (name, value) in &response.extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("\r\n");
-        (head, response.body)
-    }
-
-    fn dispatch(&self, request: &HttpRequest) -> RouterResponse {
+    /// Routes one parsed client request (the [`RouterServer`] calls
+    /// this per connection). The [`crate::http`] writer stamps the
+    /// router's own responses with `X-CF-Digest` too, so a client can
+    /// hold the whole chain (backend → router → client) to one check.
+    pub fn handle(&self, request: &HttpRequest) -> Response {
         let path = request.path();
         match path {
             "/healthz" | "/stats" | "/ring" | "/metrics" => {
                 if request.method != "GET" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "only GET is supported");
-                    r.allow = Some("GET");
-                    return r;
+                    return Response::not_allowed("GET", "only GET is supported");
                 }
                 match path {
                     "/healthz" => self.healthz(),
-                    "/stats" => RouterResponse::json("200 OK", self.stats_json()),
-                    "/ring" => RouterResponse::json("200 OK", self.ring_json()),
-                    _ => RouterResponse {
-                        status: "200 OK",
-                        content_type: "text/plain; version=0.0.4; charset=utf-8",
-                        retry_after: None,
-                        allow: None,
-                        extra: Vec::new(),
-                        body: self.metrics(),
-                    },
+                    "/stats" => Response::json(200, self.stats_json()),
+                    "/ring" => Response::json(200, self.ring_json()),
+                    _ => {
+                        Response { content_type: PROM_TEXT, ..Response::json(200, self.metrics()) }
+                    }
                 }
             }
             "/jobs" => {
                 if request.method != "POST" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "submit jobs with POST");
-                    r.allow = Some("POST");
-                    return r;
+                    return Response::not_allowed("POST", "submit jobs with POST");
                 }
                 // A client-supplied trace context parents the router's
                 // dispatch span; a malformed one is the client's bug
@@ -2177,8 +1872,8 @@ impl Router {
                     Some(h) => match TraceContext::parse(h) {
                         Ok(c) => Some(c),
                         Err(e) => {
-                            return RouterResponse::error(
-                                "400 Bad Request",
+                            return Response::error(
+                                400,
                                 &format!("malformed {TRACE_HEADER} header: {e}"),
                             );
                         }
@@ -2190,21 +1885,13 @@ impl Router {
             _ => match path.strip_prefix("/trace/") {
                 Some(rest) => {
                     if request.method != "GET" {
-                        let mut r = RouterResponse::error(
-                            "405 Method Not Allowed",
-                            "fetch traces with GET",
-                        );
-                        r.allow = Some("GET");
-                        return r;
+                        return Response::not_allowed("GET", "fetch traces with GET");
                     }
                     match u128::from_str_radix(rest, 16) {
                         Ok(id) if rest.len() <= 32 && id != 0 => {
-                            RouterResponse::json("200 OK", self.trace_json(id))
+                            Response::json(200, self.trace_json(id))
                         }
-                        _ => RouterResponse::error(
-                            "400 Bad Request",
-                            "trace id must be 1-32 hex digits, nonzero",
-                        ),
+                        _ => Response::error(400, "trace id must be 1-32 hex digits, nonzero"),
                     }
                 }
                 None => self.dispatch_jobs(request, path),
@@ -2213,14 +1900,11 @@ impl Router {
     }
 
     /// The `/jobs/<id>` poll routes plus the 404 fallthrough.
-    fn dispatch_jobs(&self, request: &HttpRequest, path: &str) -> RouterResponse {
+    fn dispatch_jobs(&self, request: &HttpRequest, path: &str) -> Response {
         match path.strip_prefix("/jobs/") {
             Some(rest) => {
                 if request.method != "GET" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "poll jobs with GET");
-                    r.allow = Some("GET");
-                    return r;
+                    return Response::not_allowed("GET", "poll jobs with GET");
                 }
                 let (id_part, status_only) = match rest.strip_suffix("/status") {
                     Some(id_part) => (id_part, true),
@@ -2228,14 +1912,11 @@ impl Router {
                 };
                 match id_part.parse::<u64>() {
                     Ok(id) => self.poll(id, status_only, request.query()),
-                    Err(_) => RouterResponse::error(
-                        "400 Bad Request",
-                        "job id must be an unsigned integer",
-                    ),
+                    Err(_) => Response::error(400, "job id must be an unsigned integer"),
                 }
             }
-            None => RouterResponse::json(
-                "404 Not Found",
+            None => Response::json(
+                404,
                 "{\"error\":\"not found\",\"routes\":[\"/healthz\",\"/stats\",\"/ring\",\
                  \"/metrics\",\"/jobs\",\"/jobs/<id>\",\"/jobs/<id>/status\",\
                  \"/trace/<trace-id>\"]}"
@@ -2263,13 +1944,12 @@ fn hedge_pick(
 }
 
 /// Relays a backend response verbatim (status, body, `Retry-After`).
-fn relay(reply: &Reply) -> RouterResponse {
-    let mut r = RouterResponse::json(
-        status_line(reply.status),
-        String::from_utf8_lossy(&reply.body).to_string(),
-    );
-    if let Some(after) = reply.header("retry-after").and_then(|v| v.parse().ok()) {
-        r.retry_after = Some(after);
+fn relay(reply: &Reply) -> Response {
+    // Unknown backend codes degrade to 502.
+    let status = if http::reason(reply.status).is_some() { reply.status } else { 502 };
+    let mut r = Response::json(status, reply.text().to_string());
+    if let Some(after) = reply.header("retry-after").and_then(|v| v.parse::<u64>().ok()) {
+        r.headers.push(("Retry-After", after.to_string()));
     }
     r
 }
@@ -2277,8 +1957,8 @@ fn relay(reply: &Reply) -> RouterResponse {
 /// Rewrites the backend-local id in a poll response to the router's
 /// fleet-wide id: records lead with `{"job":N,`, status JSON with
 /// `{"id":N,` — both exact prefixes of the deterministic renderers.
-fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) -> RouterResponse {
-    let body = String::from_utf8_lossy(&reply.body).to_string();
+fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) -> Response {
+    let body = reply.text().to_string();
     let rewritten = if reply.status == 200 && !status_only {
         let from = format!("{{\"job\":{backend_id},");
         let to = format!("{{\"job\":{rid},");
@@ -2296,129 +1976,58 @@ fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) ->
             body
         }
     };
-    RouterResponse::json(status_line(reply.status), rewritten)
+    Response::json(reply.status, rewritten)
 }
 
 // ---------------------------------------------------------------------------
 // The router's HTTP server
 // ---------------------------------------------------------------------------
 
-/// The router's HTTP/1.1 listener: the same dependency-free
-/// thread-per-connection loop as [`crate::StatusServer`], dispatching
-/// into [`Router::handle`]. Binds 127.0.0.1 only.
+/// The router's listener: a [`crate::http::Server`] dispatching into
+/// [`Router::handle`]. Binds 127.0.0.1 only.
 #[derive(Debug)]
 pub struct RouterServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    server: Server,
     router: Arc<Router>,
 }
 
 impl RouterServer {
-    /// Binds `127.0.0.1:port` (0 picks a free port), starts the accept
-    /// loop and the router's health prober.
+    /// Binds `127.0.0.1:port` (0 picks a free port), starts serving and
+    /// the router's health prober.
     ///
     /// # Errors
     ///
-    /// Any socket bind/configure failure, unchanged.
+    /// Any socket bind failure, unchanged.
     pub fn bind(port: u16, router: Arc<Router>) -> std::io::Result<RouterServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        router.start_prober();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
+        let server = {
             let router = Arc::clone(&router);
-            thread::Builder::new()
-                .name("cf-router-server".to_string())
-                .spawn(move || accept_loop(&listener, &router, &shutdown))?
+            Server::bind(port, "cf-router", move |stream| {
+                http::serve(stream, router.config.max_body, |request| match request {
+                    Ok(r) => router.handle(r),
+                    Err(ref e) => Response::rejected(e),
+                });
+            })?
         };
-        Ok(RouterServer { addr, shutdown, thread: Some(thread), router })
+        router.start_prober();
+        Ok(RouterServer { server, router })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.server.local_addr()
     }
 
-    /// Stops the accept loop and the prober, joining both threads (also
-    /// done on drop).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-        self.router.stop();
+    /// Stops accepting, lets accepted requests finish, and stops the
+    /// prober (also done on drop).
+    pub fn shutdown(self) {
+        // Dropping does it: the prober stops, then the server.
     }
 }
 
 impl Drop for RouterServer {
     fn drop(&mut self) {
-        self.stop();
+        self.router.stop();
     }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Arc<Router>, shutdown: &AtomicBool) {
-    let seq = AtomicU64::new(0);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let router = Arc::clone(router);
-                let token = seq.fetch_add(1, Ordering::Relaxed);
-                let spawned = thread::Builder::new().name(format!("cf-router-conn-{token}")).spawn(
-                    move || {
-                        let _ = serve_connection(stream, &router);
-                    },
-                );
-                drop(spawned);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
-    }
-}
-
-fn serve_connection(mut stream: TcpStream, router: &Arc<Router>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    let deadline = Instant::now() + READ_DEADLINE;
-    let request = loop {
-        match api::parse_request(&buf, router.config.max_body) {
-            Ok(Some(request)) => break Ok(request),
-            Ok(None) => {}
-            Err(e) => break Err(e),
-        }
-        if Instant::now() > deadline {
-            break Err(api::HttpParseError::BadRequestLine);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) if buf.is_empty() => return Ok(()),
-            Ok(0) | Err(_) => break Err(api::HttpParseError::BadRequestLine),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    };
-    let (head, body) = match request {
-        Ok(request) => router.handle(&request),
-        Err(e) => {
-            let body = format!("{{\"error\":{}}}", json_str(&e.to_string()));
-            let head = format!(
-                "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                e.status(),
-                body.len(),
-            );
-            (head, body)
-        }
-    };
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }
 
 #[cfg(test)]
@@ -2568,53 +2177,27 @@ mod tests {
     }
 
     #[test]
-    fn parse_reply_rejects_garbage_and_torn_bodies() {
-        // Garbled status line: not a reply at all.
-        assert!(parse_reply(b"GARBAGE! 200 OK\r\nContent-Length: 2\r\n\r\n{}").is_err());
-        // Body shorter than the declared Content-Length: torn.
-        assert!(parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}").is_err());
-        // Trailing bytes past Content-Length are dropped, not trusted.
-        let r = match parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}junk") {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        };
-        assert_eq!(r.body, b"{}");
-    }
-
-    #[test]
-    fn digest_header_verifies_the_body() {
-        let body = b"{\"id\":0}".to_vec();
-        let good = Reply {
-            status: 202,
-            headers: vec![("X-CF-Digest".to_string(), format!("{:016x}", fnv1a(&body)))],
-            body: body.clone(),
-        };
-        assert!(digest_ok(&good));
-        let bad = Reply {
-            status: 202,
-            headers: vec![("X-CF-Digest".to_string(), format!("{:016x}", fnv1a(&body) ^ 1))],
-            body: body.clone(),
-        };
-        assert!(!digest_ok(&bad));
-        let unstamped = Reply { status: 202, headers: Vec::new(), body };
-        assert!(digest_ok(&unstamped), "plain upstreams without the header still pass");
-    }
-
-    #[test]
-    fn reply_parsing_and_status_mapping() {
-        let reply = parse_reply(
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\n{}",
-        );
-        let reply = match reply {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        };
-        assert_eq!(reply.status, 503);
-        assert_eq!(reply.header("retry-after"), Some("7"));
-        assert_eq!(reply.body, b"{}");
-        assert_eq!(status_line(202), "202 Accepted");
-        assert_eq!(status_line(999), "502 Bad Gateway");
-        assert!(parse_reply(b"HTTP/1.1 200").is_err());
+    fn parse_error_replies_carry_a_valid_digest() {
+        let router = Router::new(RouterConfig {
+            backends: names(1),
+            max_body: 64,
+            probe_interval: Duration::from_secs(60),
+            ..RouterConfig::default()
+        });
+        let server = RouterServer::bind(0, router).unwrap();
+        let addr = server.local_addr().to_string();
+        let t = Duration::from_secs(5);
+        for (raw, status) in [
+            (&b"garbage\r\n\r\n"[..], 400),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: 65\r\n\r\n", 413),
+        ] {
+            let bytes = TcpConnector.exchange(&addr, raw, t, t, None).unwrap();
+            let reply = parse_reply(&bytes).unwrap();
+            assert_eq!(reply.status, status, "{}", reply.text());
+            assert!(reply.header("x-cf-digest").is_some(), "no digest: {reply:?}");
+            assert!(digest_ok(&reply), "digest mismatch: {reply:?}");
+        }
+        server.shutdown();
     }
 
     #[test]
@@ -2663,7 +2246,7 @@ mod tests {
     fn router_healthz_reflects_backend_states() {
         let router = Router::new(RouterConfig { backends: names(2), ..RouterConfig::default() });
         let r = router.healthz();
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         assert!(r.body.contains("\"up\":2"), "{}", r.body);
         {
             let mut backends = sync::lock(&router.backends);
@@ -2671,7 +2254,7 @@ mod tests {
             backends[1].health = BackendHealth::Draining;
         }
         let r = router.healthz();
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         assert!(r.body.contains("\"no-backends\""), "{}", r.body);
         assert!(r.body.contains("\"draining\":1"), "{}", r.body);
         let stats = router.stats_json();

@@ -6,15 +6,59 @@
 //!   interleaving of the same request multiset draws the same
 //!   per-request fault decisions, which is what makes a chaos run
 //!   reproducible at any concurrency;
+//! * requests that differ only in their per-attempt `X-CF-Trace` header
+//!   draw the same decision sequence, so tracing does not reshuffle a
+//!   seeded schedule;
 //! * the record digest catches **every** single-byte flip in a rendered
 //!   record's core, and survives the router's id rewrite.
 
 use std::collections::HashMap;
+use std::time::Duration;
 
-use cf_runtime::netfault::{NetFaultPlan, NetFaultSite, NetFaultSpec};
+use cf_runtime::fault::fnv1a;
+use cf_runtime::netfault::{fault_key, NetFaultPlan, NetFaultSite, NetFaultSpec};
 use cf_runtime::serve::{render_record_json, verify_record_json, JobOutput, JobRecord};
-use cf_runtime::JobError;
+use cf_runtime::{CancelSlot, Connector, FaultConnector, JobError, TraceContext};
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// An upstream that always answers the same accept.
+#[derive(Debug)]
+struct Accepting;
+
+impl Connector for Accepting {
+    fn exchange(
+        &self,
+        _addr: &str,
+        _raw: &[u8],
+        _connect_timeout: Duration,
+        _read_timeout: Duration,
+        _cancel: Option<&CancelSlot>,
+    ) -> std::io::Result<Vec<u8>> {
+        Ok(b"HTTP/1.1 202 Accepted\r\nContent-Length: 8\r\n\r\n{\"id\":0}".to_vec())
+    }
+}
+
+/// A router submit as it goes on the wire, with or without a trace.
+fn submit_bytes(body: &str, trace: Option<TraceContext>) -> Vec<u8> {
+    let trace = trace.map(|t| format!("X-CF-Trace: {}\r\n", t.encode())).unwrap_or_default();
+    format!(
+        "POST /jobs HTTP/1.1\r\nHost: cfrouter\r\n{trace}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// What each exchange of `requests` came back as through a fresh fault
+/// connector over `plan`.
+fn outcomes(plan: &NetFaultPlan, requests: &[Vec<u8>]) -> Vec<Result<Vec<u8>, std::io::ErrorKind>> {
+    let connector = FaultConnector::new(Arc::new(Accepting), plan.clone());
+    let t = Duration::from_secs(1);
+    requests
+        .iter()
+        .map(|raw| connector.exchange("127.0.0.1:9", raw, t, t, None).map_err(|e| e.kind()))
+        .collect()
+}
 
 fn spec(rate: f64) -> NetFaultSpec {
     let mut spec = NetFaultSpec::none();
@@ -99,6 +143,43 @@ proptest! {
             }
         }
         prop_assert!(diverged, "seed change never altered any of 1536 decisions");
+    }
+
+    /// Submits that differ only in their `X-CF-Trace` span ids draw the
+    /// same fault decisions, exchange by exchange, as each other and as
+    /// the same submits sent untraced.
+    #[test]
+    fn trace_headers_do_not_move_the_schedule(
+        seed in any::<u64>(),
+        rate in 0.05f64..0.5,
+        body_ids in proptest::collection::vec(0u32..3, 1..24),
+        ids in proptest::collection::vec((1u64..u64::MAX, 1u64..u64::MAX), 24..25),
+    ) {
+        // Timing faults sleep for their duration; zero keeps the
+        // property fast without changing which fault fires.
+        let mut spec = spec(rate);
+        spec.latency = Duration::ZERO;
+        spec.trickle = Duration::ZERO;
+        let plan = NetFaultPlan::new(seed, spec);
+        let body = |b: u32| format!("{{\"workload\":\"matmul\",\"order\":{}}}", 32 << b);
+        let traced = |pick: fn(&(u64, u64)) -> u64| -> Vec<Vec<u8>> {
+            body_ids
+                .iter()
+                .zip(&ids)
+                .map(|(&b, id)| {
+                    let ctx = TraceContext { trace_id: 7, span_id: pick(id), parent: Some(3) };
+                    submit_bytes(&body(b), Some(ctx))
+                })
+                .collect()
+        };
+        let (a, b) = (traced(|id| id.0), traced(|id| id.1));
+        let plain: Vec<Vec<u8>> = body_ids.iter().map(|&b| submit_bytes(&body(b), None)).collect();
+        for (traced, plain) in a.iter().zip(&plain) {
+            prop_assert_eq!(fault_key(traced), fnv1a(plain));
+        }
+        let expected = outcomes(&plan, &plain);
+        prop_assert_eq!(&outcomes(&plan, &a), &expected);
+        prop_assert_eq!(&outcomes(&plan, &b), &expected);
     }
 
     /// The rendered record round-trips through its digest, survives the

@@ -9,191 +9,14 @@
 //! stops admissions, flips `/healthz` to draining, and the process
 //! exits 0 once in-flight work settles.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::thread::JoinHandle;
+mod common;
+
 use std::time::{Duration, Instant};
 
-/// The chaos manifest (`assets/serve.jobs`) expanded client-side: one
-/// JSON spec per job, `repeat=N` flattened to N identical submissions,
-/// in manifest order — so router id K corresponds to baseline record
-/// `"job":K`.
-fn chaos_specs() -> Vec<String> {
-    let lines: [(&str, usize); 7] = [
-        (r#"{"workload":"vgg16","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"resnet152","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"matmul","order":1024,"machine":"f100"}"#, 4),
-        (r#"{"workload":"mlp3","batch":4,"machine":"embedded"}"#, 2),
-        (r#"{"workload":"knn","size":"small","machine":"f1"}"#, 2),
-        (r#"{"program":"assets/demo.cfasm","machine":"tiny","label":"demo"}"#, 2),
-        (r#"{"workload":"kmeans","size":"small","mode":"exec","seed":42,"machine":"tiny"}"#, 1),
-    ];
-    let mut specs = Vec::new();
-    for (spec, repeat) in lines {
-        for _ in 0..repeat {
-            specs.push(spec.to_string());
-        }
-    }
-    assert_eq!(specs.len(), 19, "the chaos manifest is 19 jobs");
-    specs
-}
-
-/// The fault-free ground truth: one `cfserve` run over the manifest
-/// itself, stdout captured as the byte-exact expected output.
-fn baseline() -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_cfserve"))
-        .args(["assets/serve.jobs", "--workers", "2"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .expect("run cfserve on the chaos manifest");
-    assert!(out.status.success(), "baseline run failed");
-    let text = String::from_utf8(out.stdout).expect("utf-8 records");
-    assert_eq!(text.lines().count(), 19, "baseline:\n{text}");
-    text
-}
-
-/// A spawned process with its announced listen address and a stderr
-/// drain thread (so the child never blocks on a full pipe).
-struct Proc {
-    child: Child,
-    addr: String,
-    drain: Option<JoinHandle<()>>,
-}
-
-impl Proc {
-    /// Spawns `bin` and scrapes the first stderr line starting with
-    /// `announce` for the `http://<addr>` it carries.
-    fn spawn(bin: &str, args: &[String], announce: &str) -> Proc {
-        let mut child = Command::new(bin)
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .unwrap_or_else(|| panic!("{bin} exited before announcing"))
-                .expect("read stderr");
-            if line.starts_with(announce) {
-                let rest = line.split("http://").nth(1).expect("http:// in announce");
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address")
-                    .trim_end_matches('/')
-                    .split(['(', ','])
-                    .next()
-                    .expect("address")
-                    .to_string();
-            }
-        };
-        let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
-        Proc { child, addr, drain: Some(drain) }
-    }
-
-    fn sigterm(&self) {
-        let pid = self.child.id().to_string();
-        let ok = Command::new("kill").args(["-TERM", &pid]).status().expect("run kill");
-        assert!(ok.success(), "kill -TERM {pid}");
-    }
-
-    /// Waits up to `limit` for the child to exit, returning whether it
-    /// exited cleanly (code 0).
-    fn wait_clean(&mut self, limit: Duration) -> bool {
-        let deadline = Instant::now() + limit;
-        loop {
-            match self.child.try_wait().expect("try_wait") {
-                Some(status) => return status.success(),
-                None if Instant::now() > deadline => return false,
-                None => std::thread::sleep(Duration::from_millis(50)),
-            }
-        }
-    }
-
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        if let Some(drain) = self.drain.take() {
-            drain.join().ok();
-        }
-    }
-}
-
-fn spawn_backend(journal: &std::path::Path) -> Proc {
-    let args: Vec<String> = vec![
-        "-".into(),
-        "--status-port".into(),
-        "0".into(),
-        "--journal".into(),
-        journal.display().to_string(),
-        "--workers".into(),
-        "2".into(),
-    ];
-    Proc::spawn(env!("CARGO_BIN_EXE_cfserve"), &args, "cfserve: status on http://")
-}
-
-/// Spawns `cfrouter` over the given backends with a fast prober and
-/// hedging disabled (determinism: exactly one backend runs each job
-/// unless the router decides to fail over).
-fn spawn_router(backends: &[&Proc]) -> Proc {
-    let mut args: Vec<String> = Vec::new();
-    for b in backends {
-        args.push("--backend".into());
-        args.push(b.addr.clone());
-    }
-    args.extend(["--probe-interval-ms".into(), "100".into()]);
-    args.extend(["--hedge-after-ms".into(), "0".into()]);
-    Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: routing ")
-}
-
-/// One HTTP exchange against `addr`; the server closes the connection
-/// after every response, so reading to EOF frames the body.
-fn http(addr: &str, request: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
-/// Submits one spec through the router, asserting acceptance, and
-/// returns the fleet-wide id.
-fn submit(addr: &str, spec: &str) -> u64 {
-    let request =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    let (status, body) = http(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
-    digits.parse().expect("job id")
-}
-
-/// Long-polls one job through the router until its record streams back.
-fn stream_record(addr: &str, id: u64) -> String {
-    let (status, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    body
-}
-
-/// Scrapes one top-level counter off the router's `/stats` JSON.
-fn stat(body: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle).unwrap_or_else(|| panic!("no {name} in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
+use common::{
+    baseline, chaos_specs, get, post, spawn_backend, spawn_router, stat, stream_record, submit,
+    temp_dir, Proc,
+};
 
 /// Per-backend routed-job counts from the `"backends":[...]` table, in
 /// spawn order.
@@ -212,13 +35,6 @@ fn backend_job_counts(stats: &str) -> Vec<u64> {
         .collect()
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cf-fleet-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 /// Submits the 19 chaos jobs through the router (asserting sequential
 /// fleet-wide ids), then streams them all back and returns the merged
 /// id-ordered output.
@@ -235,6 +51,28 @@ fn run_chaos<F: FnOnce(&str)>(router: &str, mid_run: F) -> String {
     merged
 }
 
+/// Three backends and a router over them.
+fn fleet(dir: &std::path::Path) -> (Vec<Proc>, Proc) {
+    let backends: Vec<Proc> =
+        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
+    let addrs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
+    let router = spawn_router(&addrs, &[]);
+    (backends, router)
+}
+
+/// The index of the backend that owns the most jobs, per the router's
+/// `/stats` — maximum damage.
+fn busiest(router: &str) -> usize {
+    let r = get(router, "/stats");
+    assert_eq!(r.status, 200, "{}", r.text());
+    let counts = backend_job_counts(&r.text());
+    assert_eq!(counts.len(), 3, "{}", r.text());
+    assert_eq!(counts.iter().sum::<u64>(), 19, "{}", r.text());
+    let busiest = (0..3).max_by_key(|&i| counts[i]).unwrap();
+    assert!(counts[busiest] > 0, "{}", r.text());
+    busiest
+}
+
 /// SIGKILL one of three backends after every job is accepted: the
 /// router fails lost jobs over to the surviving replicas (re-running
 /// them deterministically), the prober ejects the corpse, and the
@@ -243,23 +81,11 @@ fn run_chaos<F: FnOnce(&str)>(router: &str, mid_run: F) -> String {
 #[test]
 fn killing_one_of_three_backends_keeps_output_byte_identical() {
     let expected = baseline();
-    let dir = temp_dir("kill");
-    let backends: Vec<Proc> =
-        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
-    let router = spawn_router(&backends.iter().collect::<Vec<_>>());
+    let dir = temp_dir("fleet-kill");
+    let (mut backends, router) = fleet(&dir);
 
-    let mut backends = backends;
     let merged = run_chaos(&router.addr, |addr| {
-        // Kill the backend that owns the most jobs — maximum damage.
-        let (status, stats) = http(addr, "GET /stats HTTP/1.1\r\n\r\n");
-        assert!(status.contains("200"), "{status}");
-        let counts = backend_job_counts(&stats);
-        assert_eq!(counts.len(), 3, "{stats}");
-        assert_eq!(counts.iter().sum::<u64>(), 19, "{stats}");
-        let busiest = (0..3).max_by_key(|&i| counts[i]).unwrap();
-        assert!(counts[busiest] > 0, "{stats}");
-        let victim = backends.remove(busiest);
-        victim.kill();
+        backends.remove(busiest(addr)).kill();
     });
     assert_eq!(merged, expected, "merged fleet output must match the single-instance run");
 
@@ -267,7 +93,7 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
     // over, and the prober ejected the dead backend.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let (_, stats) = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+        let stats = get(&router.addr, "/stats").text().into_owned();
         if stat(&stats, "failovers") >= 1 && stat(&stats, "ejections") >= 1 {
             assert_eq!(stat(&stats, "records_streamed"), 19, "{stats}");
             break;
@@ -275,13 +101,8 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
         assert!(Instant::now() < deadline, "no failover/ejection recorded: {stats}");
         std::thread::sleep(Duration::from_millis(100));
     }
-    let (status, _) = http(&router.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "router stays healthy on two survivors: {status}");
-
-    router.kill();
-    for b in backends {
-        b.kill();
-    }
+    let r = get(&router.addr, "/healthz");
+    assert_eq!(r.status, 200, "router stays healthy on two survivors: {}", r.text());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -293,18 +114,12 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
 #[test]
 fn draining_one_of_three_backends_keeps_output_byte_identical() {
     let expected = baseline();
-    let dir = temp_dir("drain");
-    let backends: Vec<Proc> =
-        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
-    let router = spawn_router(&backends.iter().collect::<Vec<_>>());
+    let dir = temp_dir("fleet-drain");
+    let (mut backends, router) = fleet(&dir);
 
-    let mut backends = backends;
     let mut drained: Option<Proc> = None;
     let merged = run_chaos(&router.addr, |addr| {
-        let (_, stats) = http(addr, "GET /stats HTTP/1.1\r\n\r\n");
-        let counts = backend_job_counts(&stats);
-        let busiest = (0..3).max_by_key(|&i| counts[i]).unwrap();
-        let victim = backends.remove(busiest);
+        let victim = backends.remove(busiest(addr));
         victim.sigterm();
         drained = Some(victim);
     });
@@ -314,56 +129,60 @@ fn draining_one_of_three_backends_keeps_output_byte_identical() {
     // journal synced, exit code 0.
     let mut victim = drained.expect("drained backend");
     assert!(victim.wait_clean(Duration::from_secs(60)), "drained backend must exit 0");
-    victim.kill();
-
-    router.kill();
-    for b in backends {
-        b.kill();
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The drain protocol on a lone `cfserve`: `POST /drain` answers with
 /// the pending count, `/healthz` flips to a 503 `"draining"` (distinct
 /// from overload), new submissions bounce with 503, `GET /drain` is a
-/// 405 — and once in-flight work settles the process exits 0.
+/// 405 — in-flight work finishes and stays pollable while draining, and
+/// once it settles the process exits 0.
 #[test]
 fn post_drain_stops_admissions_and_exits_cleanly() {
-    let dir = temp_dir("lone");
+    let dir = temp_dir("fleet-lone");
     let mut backend = spawn_backend(&dir.join("b.wal"));
+    let addr = backend.addr.clone();
 
     // One answered job proves the instance was live and admitting.
-    let id =
-        submit(&backend.addr, r#"{"workload":"matmul","order":256,"machine":"tiny","label":"w"}"#);
+    let id = submit(&addr, r#"{"workload":"matmul","order":256,"machine":"tiny","label":"w"}"#);
     assert_eq!(id, 0);
-    let record = stream_record(&backend.addr, 0);
+    let record = stream_record(&addr, 0);
     assert!(record.starts_with("{\"job\":0,"), "{record}");
 
     // GET /drain is not a drain.
-    let (status, _) = http(&backend.addr, "GET /drain HTTP/1.1\r\n\r\n");
-    assert!(status.contains("405"), "{status}");
-    let (status, _) = http(&backend.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "still healthy after GET /drain: {status}");
+    assert_eq!(get(&addr, "/drain").status, 405);
+    assert_eq!(get(&addr, "/healthz").status, 200, "still healthy after GET /drain");
+
+    // A cold job that runs for about a second: the drain must wait for
+    // it, which keeps the instance up while the drain is probed.
+    let slow = submit(&addr, r#"{"workload":"matmul","order":8192,"machine":"f1","label":"slow"}"#);
 
     // POST /drain flips the instance into draining.
-    let (status, body) = http(&backend.addr, "POST /drain HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
-    assert!(status.contains("200"), "{status} {body}");
-    assert!(body.contains("\"status\":\"draining\""), "{body}");
+    let r = post(&addr, "/drain", "");
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"status\":\"draining\""), "{}", r.text());
+    assert!(r.text().contains("\"pending\":1"), "the slow job is in flight: {}", r.text());
 
     // Draining is distinct from overload, and the front door is closed.
-    let (status, body) = http(&backend.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("503"), "{status}");
-    assert!(body.contains("\"status\":\"draining\""), "{body}");
-    assert!(!body.contains("overloaded"), "{body}");
-    let spec = r#"{"workload":"matmul","order":256,"machine":"tiny","label":"late"}"#;
-    let request =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    let (status, body) = http(&backend.addr, &request);
-    assert!(status.contains("503"), "{status} {body}");
-    assert!(body.contains("draining"), "{body}");
+    let r = get(&addr, "/healthz");
+    assert_eq!(r.status, 503, "{}", r.text());
+    assert!(r.text().contains("\"status\":\"draining\""), "{}", r.text());
+    assert!(!r.text().contains("overloaded"), "{}", r.text());
+    let r = post(
+        &addr,
+        "/jobs",
+        r#"{"workload":"matmul","order":256,"machine":"tiny","label":"late"}"#,
+    );
+    assert_eq!(r.status, 503, "{}", r.text());
+    assert!(r.text().contains("draining"), "{}", r.text());
 
-    // Nothing pending: the process settles and exits 0 on its own.
+    // In-flight work finishes, and its record is still served while the
+    // instance drains.
+    let record = stream_record(&addr, slow);
+    assert!(record.starts_with("{\"job\":1,\"label\":\"slow\""), "{record}");
+    assert!(record.contains("\"ok\":true"), "{record}");
+
+    // Nothing pending any more: the process settles and exits 0.
     assert!(backend.wait_clean(Duration::from_secs(30)), "drained cfserve must exit 0");
-    backend.kill();
     std::fs::remove_dir_all(&dir).ok();
 }

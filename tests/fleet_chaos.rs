@@ -13,199 +13,22 @@
 //! to prove repeated corruption moves it into the `quarantined` state
 //! (distinct from `ejected`) in `/stats` and `/ring`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::OnceLock;
-use std::thread::JoinHandle;
+mod common;
+
 use std::time::{Duration, Instant};
 
 use cambricon_f::runtime::serve::verify_record_json;
-
-/// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
-/// manifest order — so router id K corresponds to baseline `"job":K`.
-fn chaos_specs() -> Vec<String> {
-    let lines: [(&str, usize); 7] = [
-        (r#"{"workload":"vgg16","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"resnet152","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"matmul","order":1024,"machine":"f100"}"#, 4),
-        (r#"{"workload":"mlp3","batch":4,"machine":"embedded"}"#, 2),
-        (r#"{"workload":"knn","size":"small","machine":"f1"}"#, 2),
-        (r#"{"program":"assets/demo.cfasm","machine":"tiny","label":"demo"}"#, 2),
-        (r#"{"workload":"kmeans","size":"small","mode":"exec","seed":42,"machine":"tiny"}"#, 1),
-    ];
-    let mut specs = Vec::new();
-    for (spec, repeat) in lines {
-        for _ in 0..repeat {
-            specs.push(spec.to_string());
-        }
-    }
-    assert_eq!(specs.len(), 19, "the chaos manifest is 19 jobs");
-    specs
-}
-
-/// The fault-free ground truth, computed once per test binary: one
-/// `cfserve` run over the manifest itself, stdout captured as the
-/// byte-exact expected output.
-fn baseline() -> &'static str {
-    static BASELINE: OnceLock<String> = OnceLock::new();
-    BASELINE.get_or_init(|| {
-        let out = Command::new(env!("CARGO_BIN_EXE_cfserve"))
-            .args(["assets/serve.jobs", "--workers", "2"])
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .expect("run cfserve on the chaos manifest");
-        assert!(out.status.success(), "baseline run failed");
-        let text = String::from_utf8(out.stdout).expect("utf-8 records");
-        assert_eq!(text.lines().count(), 19, "baseline:\n{text}");
-        text
-    })
-}
-
-/// A spawned process with its announced listen address and a stderr
-/// drain thread (so the child never blocks on a full pipe).
-struct Proc {
-    child: Child,
-    addr: String,
-    drain: Option<JoinHandle<()>>,
-}
-
-impl Proc {
-    /// Spawns `bin` and scrapes the first stderr line starting with
-    /// `announce` for the `http://<addr>` it carries.
-    fn spawn(bin: &str, args: &[String], announce: &str) -> Proc {
-        let mut child = Command::new(bin)
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .unwrap_or_else(|| panic!("{bin} exited before announcing"))
-                .expect("read stderr");
-            if line.starts_with(announce) {
-                let rest = line.split("http://").nth(1).expect("http:// in announce");
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address")
-                    .trim_end_matches('/')
-                    .split(['(', ','])
-                    .next()
-                    .expect("address")
-                    .to_string();
-            }
-        };
-        let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
-        Proc { child, addr, drain: Some(drain) }
-    }
-
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        if let Some(drain) = self.drain.take() {
-            drain.join().ok();
-        }
-    }
-}
-
-fn spawn_backend(journal: &std::path::Path) -> Proc {
-    let args: Vec<String> = vec![
-        "-".into(),
-        "--status-port".into(),
-        "0".into(),
-        "--journal".into(),
-        journal.display().to_string(),
-        "--workers".into(),
-        "2".into(),
-    ];
-    Proc::spawn(env!("CARGO_BIN_EXE_cfserve"), &args, "cfserve: status on http://")
-}
-
-/// Spawns `cfrouter` over the given backend addresses with a fast
-/// prober, hedging disabled (determinism), a generous failover budget
-/// (chaos heals through retries), and any extra flags appended.
-fn spawn_router(backends: &[&str], extra: &[&str]) -> Proc {
-    let mut args: Vec<String> = Vec::new();
-    for addr in backends {
-        args.push("--backend".into());
-        args.push((*addr).into());
-    }
-    args.extend(["--probe-interval-ms".into(), "100".into()]);
-    args.extend(["--hedge-after-ms".into(), "0".into()]);
-    args.extend(["--failover-retries".into(), "5".into()]);
-    args.extend(extra.iter().map(|s| (*s).to_string()));
-    Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: routing ")
-}
+use common::{
+    baseline, chaos_specs, get, spawn_backend, spawn_router, stat, stream_record, submit, temp_dir,
+    Proc,
+};
 
 /// Spawns `cfrouter --fault-proxy` — the standalone byte-level fault
 /// proxy — in front of `upstream` with the given seeded spec.
 fn spawn_fault_proxy(upstream: &str, seed: u64, spec: &str) -> Proc {
-    let args: Vec<String> = vec![
-        "--fault-proxy".into(),
-        upstream.into(),
-        "--netfault-seed".into(),
-        seed.to_string(),
-        "--netfault-spec".into(),
-        spec.into(),
-    ];
+    let seed = seed.to_string();
+    let args = ["--fault-proxy", upstream, "--netfault-seed", &seed, "--netfault-spec", spec];
     Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: fault proxy for ")
-}
-
-/// One HTTP exchange against `addr`; the server closes the connection
-/// after every response, so reading to EOF frames the body.
-fn http(addr: &str, request: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
-/// Submits one spec through the router, asserting acceptance, and
-/// returns the fleet-wide id.
-fn submit(addr: &str, spec: &str) -> u64 {
-    let request =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    let (status, body) = http(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
-    digits.parse().expect("job id")
-}
-
-/// Long-polls one job through the router until its record streams back.
-fn stream_record(addr: &str, id: u64) -> String {
-    let (status, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    body
-}
-
-/// Scrapes one top-level counter off the router's `/stats` JSON.
-fn stat(body: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle).unwrap_or_else(|| panic!("no {name} in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cf-chaos-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Submits the 19 chaos jobs through the router (asserting sequential
@@ -237,7 +60,7 @@ fn run_chaos_verified(router: &str) -> String {
 /// family-specific assertions.
 fn chaos_scenario(tag: &str, seed: u64, spec: &str) -> (String, String) {
     let expected = baseline();
-    let dir = temp_dir(tag);
+    let dir = temp_dir(&format!("chaos-{tag}"));
     let backends: Vec<Proc> =
         (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
     let addrs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
@@ -255,23 +78,25 @@ fn chaos_scenario(tag: &str, seed: u64, spec: &str) -> (String, String) {
             "5",
             "--breaker-failures",
             "99",
+            // A generous failover budget: chaos heals through retries.
+            "--failover-retries",
+            "5",
         ],
     );
 
     let merged = run_chaos_verified(&router.addr);
     assert_eq!(merged, expected, "[{tag}] merged fleet output must match the fault-free run");
 
-    let (status, stats) = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "[{tag}] {status}");
+    let r = get(&router.addr, "/stats");
+    let stats = r.text().into_owned();
+    assert_eq!(r.status, 200, "[{tag}] {stats}");
     assert_eq!(stat(&stats, "records_streamed"), 19, "[{tag}] {stats}");
-    let (status, metrics) = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "[{tag}] {status}");
+    let r = get(&router.addr, "/metrics");
+    let metrics = r.text().into_owned();
+    assert_eq!(r.status, 200, "[{tag}] {metrics}");
     assert!(metrics.contains("cf_router_corrupt_responses"), "[{tag}] {metrics}");
 
-    router.kill();
-    for b in backends {
-        b.kill();
-    }
+    drop((router, backends));
     std::fs::remove_dir_all(&dir).ok();
     (stats, metrics)
 }
@@ -352,26 +177,25 @@ fn mixed_chaos_plan_keeps_output_byte_identical() {
 #[test]
 fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
     let expected = baseline();
-    let dir = temp_dir("quarantine");
+    let dir = temp_dir("chaos-quarantine");
     let backends: Vec<Proc> =
         (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
     // Backend 0 is reachable only through an always-corrupting proxy.
     let proxy = spawn_fault_proxy(&backends[0].addr, 99, "corrupt=1.0");
     let router = spawn_router(
         &[&proxy.addr, &backends[1].addr, &backends[2].addr],
-        &["--quarantine-after", "2", "--quarantine-ms", "60000"],
+        &["--quarantine-after", "2", "--quarantine-ms", "60000", "--failover-retries", "5"],
     );
 
     // Two fleet /metrics scrapes exchange with every backend; both
     // answers through the proxy fail their digest — two consecutive
     // corruptions, which is the quarantine threshold.
     for _ in 0..2 {
-        let (status, _) = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
-        assert!(status.contains("200"), "{status}");
+        assert_eq!(get(&router.addr, "/metrics").status, 200);
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     let stats = loop {
-        let (_, stats) = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+        let stats = get(&router.addr, "/stats").text().into_owned();
         if stat(&stats, "quarantines") >= 1 {
             break stats;
         }
@@ -381,7 +205,7 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
     assert!(stat(&stats, "corrupt_responses") >= 2, "{stats}");
     assert!(stats.contains("\"health\":\"quarantined\""), "{stats}");
     assert!(!stats.contains("\"health\":\"ejected\""), "quarantine, not ejection: {stats}");
-    let (_, ring) = http(&router.addr, "GET /ring HTTP/1.1\r\n\r\n");
+    let ring = get(&router.addr, "/ring").text().into_owned();
     assert!(ring.contains("\"health\":\"quarantined\""), "{ring}");
 
     // The fleet still serves the whole manifest — from the two
@@ -392,10 +216,10 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
 
     // The quarantined backend took no jobs, and the damage is on the
     // Prometheus exposition too.
-    let (_, stats) = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+    let stats = get(&router.addr, "/stats").text().into_owned();
     assert_eq!(stat(&stats, "records_streamed"), 19, "{stats}");
     assert!(stats.contains("\"health\":\"quarantined\""), "still quarantined: {stats}");
-    let (_, metrics) = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
+    let metrics = get(&router.addr, "/metrics").text().into_owned();
     let line = metrics
         .lines()
         .find(|l| l.starts_with("cf_router_quarantines_total "))
@@ -403,10 +227,6 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
     let sample: u64 = line.split_whitespace().nth(1).expect("sample").parse().expect("u64");
     assert!(sample >= 1, "{line}");
 
-    router.kill();
-    proxy.kill();
-    for b in backends {
-        b.kill();
-    }
+    drop((router, proxy, backends));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -13,178 +13,36 @@
 //! * with `--slo-ms` set, the merged `/metrics` carries the `cf_slo_*`
 //!   burn-rate families and classifies every streamed record.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+mod common;
+
+use std::time::Instant;
 
 use cambricon_f::runtime::trace::{Attribution, TraceContext};
-
-/// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
-/// manifest order — so router id K corresponds to baseline `"job":K`.
-fn chaos_specs() -> Vec<String> {
-    let lines: [(&str, usize); 7] = [
-        (r#"{"workload":"vgg16","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"resnet152","batch":1,"machine":"f1"}"#, 4),
-        (r#"{"workload":"matmul","order":1024,"machine":"f100"}"#, 4),
-        (r#"{"workload":"mlp3","batch":4,"machine":"embedded"}"#, 2),
-        (r#"{"workload":"knn","size":"small","machine":"f1"}"#, 2),
-        (r#"{"program":"assets/demo.cfasm","machine":"tiny","label":"demo"}"#, 2),
-        (r#"{"workload":"kmeans","size":"small","mode":"exec","seed":42,"machine":"tiny"}"#, 1),
-    ];
-    let mut specs = Vec::new();
-    for (spec, repeat) in lines {
-        for _ in 0..repeat {
-            specs.push(spec.to_string());
-        }
-    }
-    assert_eq!(specs.len(), 19, "the chaos manifest is 19 jobs");
-    specs
-}
-
-/// A spawned process with its announced listen address and a stderr
-/// drain thread (so the child never blocks on a full pipe).
-struct Proc {
-    child: Child,
-    addr: String,
-    drain: Option<JoinHandle<()>>,
-}
-
-impl Proc {
-    /// Spawns `bin` and scrapes the first stderr line starting with
-    /// `announce` for the `http://<addr>` it carries.
-    fn spawn(bin: &str, args: &[String], announce: &str) -> Proc {
-        let mut child = Command::new(bin)
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .unwrap_or_else(|| panic!("{bin} exited before announcing"))
-                .expect("read stderr");
-            if line.starts_with(announce) {
-                let rest = line.split("http://").nth(1).expect("http:// in announce");
-                break rest
-                    .split_whitespace()
-                    .next()
-                    .expect("address")
-                    .trim_end_matches('/')
-                    .split(['(', ','])
-                    .next()
-                    .expect("address")
-                    .to_string();
-            }
-        };
-        let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
-        Proc { child, addr, drain: Some(drain) }
-    }
-
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        if let Some(drain) = self.drain.take() {
-            drain.join().ok();
-        }
-    }
-}
-
-fn spawn_backend(journal: &std::path::Path) -> Proc {
-    let args: Vec<String> = vec![
-        "-".into(),
-        "--status-port".into(),
-        "0".into(),
-        "--journal".into(),
-        journal.display().to_string(),
-        "--workers".into(),
-        "2".into(),
-    ];
-    Proc::spawn(env!("CARGO_BIN_EXE_cfserve"), &args, "cfserve: status on http://")
-}
-
-/// Spawns `cfrouter` over the given backend addresses with a fast
-/// prober, hedging disabled (determinism), and any extra flags.
-fn spawn_router(backends: &[&str], extra: &[&str]) -> Proc {
-    let mut args: Vec<String> = Vec::new();
-    for addr in backends {
-        args.push("--backend".into());
-        args.push((*addr).into());
-    }
-    args.extend(["--probe-interval-ms".into(), "100".into()]);
-    args.extend(["--hedge-after-ms".into(), "0".into()]);
-    args.extend(["--failover-retries".into(), "5".into()]);
-    args.extend(extra.iter().map(|s| (*s).to_string()));
-    Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: routing ")
-}
-
-/// One HTTP exchange, returning (status line, headers, body) — the
-/// trace tests read response headers, which the plainer fleet helpers
-/// throw away.
-fn http_full(addr: &str, request: &str) -> (String, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let mut lines = head.lines();
-    let status = lines.next().unwrap_or("").to_string();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-}
+use common::{chaos_specs, get, job_id, post, spawn_backend, spawn_router, stat, temp_dir, Proc};
 
 /// Submits one spec, returning the fleet-wide id and the minted trace
 /// context echoed on `X-CF-Trace`.
 fn submit_traced(addr: &str, spec: &str) -> (u64, TraceContext) {
-    let request =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    let (status, headers, body) = http_full(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
-    let trace = header(&headers, "X-CF-Trace")
-        .unwrap_or_else(|| panic!("no X-CF-Trace on accept: {headers:?}"));
+    let r = post(addr, "/jobs", spec);
+    assert_eq!(r.status, 202, "{}", r.text());
+    let trace = r.header("X-CF-Trace").unwrap_or_else(|| panic!("no X-CF-Trace on accept: {r:?}"));
     let ctx = TraceContext::parse(trace).expect("parseable trace header");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
-    (digits.parse().expect("job id"), ctx)
+    (job_id(&r), ctx)
 }
 
 /// Long-polls one record, returning (body, trace header, attribution).
 fn stream_traced(addr: &str, id: u64) -> (String, TraceContext, Attribution) {
-    let (status, headers, body) =
-        http_full(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    let trace = header(&headers, "X-CF-Trace")
-        .unwrap_or_else(|| panic!("job {id}: no X-CF-Trace on record: {headers:?}"));
+    let r = get(addr, &format!("/jobs/{id}?timeout_s=120"));
+    assert_eq!(r.status, 200, "job {id}: {}", r.text());
+    let trace = r
+        .header("X-CF-Trace")
+        .unwrap_or_else(|| panic!("job {id}: no X-CF-Trace on record: {r:?}"));
     let ctx = TraceContext::parse(trace).expect("parseable trace header");
-    let attr = header(&headers, "X-CF-Attribution")
+    let attr = r
+        .header("X-CF-Attribution")
         .and_then(Attribution::parse)
-        .unwrap_or_else(|| panic!("job {id}: no parseable X-CF-Attribution: {headers:?}"));
-    (body, ctx, attr)
-}
-
-/// Scrapes one top-level counter off the router's `/stats` JSON.
-fn stat(body: &str, name: &str) -> u64 {
-    let needle = format!("\"{name}\":");
-    let at = body.find(&needle).unwrap_or_else(|| panic!("no {name} in {body}"));
-    body[at + needle.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .expect("counter value")
+        .unwrap_or_else(|| panic!("job {id}: no parseable X-CF-Attribution: {r:?}"));
+    (r.text().into_owned(), ctx, attr)
 }
 
 /// One Prometheus sample value by exact series name.
@@ -194,13 +52,6 @@ fn sample(metrics: &str, name: &str) -> f64 {
         .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
         .unwrap_or_else(|| panic!("no {name} sample in metrics"));
     line.split_whitespace().nth(1).expect("sample").parse().expect("f64 sample")
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cf-trace-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// The `(ts, dur)` of a Chrome-trace `X` event.
@@ -217,9 +68,9 @@ fn interval(e: &serde_json::Value) -> (f64, f64) {
 /// inside its parent — backend events inside their attempt's window,
 /// attempt spans inside the dispatch span. Returns the parsed doc.
 fn validate_merged_trace(router: &str, ctx: TraceContext) -> serde_json::Value {
-    let (status, _, body) =
-        http_full(router, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
-    assert!(status.contains("200"), "{status} {body}");
+    let r = get(router, &format!("/trace/{:032x}", ctx.trace_id));
+    let body = r.text();
+    assert_eq!(r.status, 200, "{body}");
     let doc = serde_json::from_str(&body).expect("merged trace parses as JSON");
     assert_eq!(
         doc.get("trace").and_then(|t| t.as_str()),
@@ -290,7 +141,7 @@ fn validate_merged_trace(router: &str, ctx: TraceContext) -> serde_json::Value {
 /// in the fleet `/metrics`.
 #[test]
 fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
-    let dir = temp_dir("e2e");
+    let dir = temp_dir("trace-e2e");
     let backends: Vec<Proc> =
         (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
     let addrs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
@@ -311,6 +162,8 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
             "60000",
             "--slo-objective",
             "0.9",
+            "--failover-retries",
+            "5",
         ],
     );
 
@@ -366,8 +219,9 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
 
     // Satellite: per-backend hedge outcome detail is in /stats (zero
     // here — hedging is disabled — but the fields must render).
-    let (status, _, stats) = http_full(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
+    let r = get(&router.addr, "/stats");
+    let stats = r.text();
+    assert_eq!(r.status, 200, "{stats}");
     assert_eq!(stat(&stats, "records_streamed"), 19, "{stats}");
     assert!(stats.contains("\"hedges_won\":"), "{stats}");
     assert!(stats.contains("\"hedges_cancelled\":"), "{stats}");
@@ -378,7 +232,7 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
 
     // SLO series: every record classified, all good under the generous
     // target, budget untouched, burn rate zero.
-    let (_, _, metrics) = http_full(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
+    let metrics = get(&router.addr, "/metrics").text().into_owned();
     assert!(sample(&metrics, "cf_slo_good_total") as u64 >= 19, "{metrics}");
     assert_eq!(sample(&metrics, "cf_slo_bad_total") as u64, 0, "bad jobs under a 60s target");
     assert!((sample(&metrics, "cf_slo_error_budget_remaining") - 1.0).abs() < 1e-9);
@@ -393,10 +247,7 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
     validate_merged_trace(&router.addr, submitted[0].1);
     validate_merged_trace(&router.addr, submitted[18].1);
 
-    router.kill();
-    for b in backends {
-        b.kill();
-    }
+    drop((router, backends));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -406,7 +257,7 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
 /// or superseded one and the one that recovered.
 #[test]
 fn trace_id_survives_tear_failover_and_shows_both_attempts() {
-    let dir = temp_dir("tear");
+    let dir = temp_dir("trace-tear");
     let backends: Vec<Proc> =
         (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
     let addrs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
@@ -423,6 +274,8 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
             "5",
             "--breaker-failures",
             "99",
+            "--failover-retries",
+            "5",
         ],
     );
 
@@ -439,7 +292,7 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
             "job {id}: trace id must survive tears and failovers"
         );
     }
-    let (_, _, stats) = http_full(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+    let stats = get(&router.addr, "/stats").text().into_owned();
     assert!(stat(&stats, "failovers") >= 1, "torn replies must fail over: {stats}");
 
     // Some trace carries more than one attempt span — the torn attempt
@@ -448,10 +301,9 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
     let mut multi_attempt = 0usize;
     let mut non_ok = 0usize;
     for &(_, ctx) in &submitted {
-        let (status, _, body) =
-            http_full(&router.addr, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
-        assert!(status.contains("200"), "{status}");
-        let doc: serde_json::Value = serde_json::from_str(&body).expect("trace parses");
+        let r = get(&router.addr, &format!("/trace/{:032x}", ctx.trace_id));
+        assert_eq!(r.status, 200, "{}", r.text());
+        let doc: serde_json::Value = serde_json::from_str(&r.text()).expect("trace parses");
         let evs = doc.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents");
         let attempts: Vec<&serde_json::Value> = evs
             .iter()
@@ -482,9 +334,6 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
     );
     assert!(non_ok >= 1, "the torn attempt's failed span must be visible");
 
-    router.kill();
-    for b in backends {
-        b.kill();
-    }
+    drop((router, backends));
     std::fs::remove_dir_all(&dir).ok();
 }

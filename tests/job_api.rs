@@ -8,115 +8,28 @@
 //! front door with `Retry-After`, and the `cf_api_*` metrics agree with
 //! the journal's JSONL records.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::thread::JoinHandle;
-use std::time::Duration;
+mod common;
 
-/// A spawned `cfserve` with its announced status address and a stderr
-/// drain (so the child never blocks on a full pipe).
-struct Serve {
-    child: Child,
-    addr: String,
-    drain: Option<JoinHandle<()>>,
-}
+use std::path::Path;
+use std::process::Command;
 
-impl Serve {
-    fn spawn(args: &[&str]) -> Serve {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_cfserve"))
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn cfserve");
-        let stderr = child.stderr.take().expect("stderr piped");
-        let mut lines = BufReader::new(stderr).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("cfserve exited before announcing its status port")
-                .expect("read stderr");
-            if let Some(rest) = line.strip_prefix("cfserve: status on http://") {
-                break rest.split_whitespace().next().expect("address").to_string();
-            }
-        };
-        let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
-        Serve { child, addr, drain: Some(drain) }
-    }
+use common::{get, post, stream_record, submit, temp_dir, Proc};
 
-    fn kill(mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-        if let Some(drain) = self.drain.take() {
-            drain.join().ok();
-        }
-    }
-}
-
-/// One HTTP exchange: status line, headers, body. The server closes the
-/// connection after every response, so reading to EOF frames the body;
-/// long-polls can hold the line for a while, hence the generous timeout.
-fn http(addr: &str, request: &str) -> (String, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let mut lines = head.lines();
-    let status = lines.next().unwrap_or("").to_string();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-}
-
-/// POSTs one job spec and returns the (status line, body) of the reply.
-fn post_job(addr: &str, spec: &str) -> (String, Vec<(String, String)>, String) {
-    let request =
-        format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    http(addr, &request)
-}
-
-/// POSTs a spec that must be accepted, returning its job id.
-fn submit(addr: &str, spec: &str) -> u64 {
-    let (status, _, body) = post_job(addr, spec);
-    assert!(status.contains("202"), "{status} {body}");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
-    digits.parse().expect("job id")
-}
-
-/// Long-polls one job to completion and returns its record body.
-fn stream_record(addr: &str, id: u64) -> String {
-    let (status, _, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    body
+/// A `cfserve` with the given arguments, on its announced status port.
+fn spawn_serve(args: &[&str]) -> Proc {
+    Proc::spawn(env!("CARGO_BIN_EXE_cfserve"), args, "cfserve: status on http://")
 }
 
 /// Scrapes one counter off `/metrics`.
 fn metric(addr: &str, name: &str) -> u64 {
-    let (status, _, body) = http(addr, "GET /metrics HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
+    let r = get(addr, "/metrics");
+    let body = r.text();
+    assert_eq!(r.status, 200, "{body}");
     body.lines()
         .find(|l| l.starts_with(name) && !l.starts_with('#'))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("no {name} in /metrics:\n{body}"))
-}
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("cf-job-api-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 fn journal_args(journal: &Path) -> Vec<String> {
@@ -137,13 +50,13 @@ fn journal_args(journal: &Path) -> Vec<String> {
 /// the accepted-but-unanswered one under its original id.
 #[test]
 fn resume_re_serves_journaled_jobs_byte_identically() {
-    let dir = temp_dir("resume");
+    let dir = temp_dir("job-api-resume");
     let journal = dir.join("j.wal");
     let args = journal_args(&journal);
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
 
     // Life 1: answer job 0, accept job 1, die mid-computation.
-    let serve = Serve::spawn(&args);
+    let serve = spawn_serve(&args);
     let id =
         submit(&serve.addr, r#"{"workload":"matmul","order":256,"machine":"tiny","label":"w"}"#);
     assert_eq!(id, 0);
@@ -161,7 +74,7 @@ fn resume_re_serves_journaled_jobs_byte_identically() {
     // unanswered accept under its original id.
     let mut resumed: Vec<&str> = args.clone();
     resumed.push("--resume");
-    let serve = Serve::spawn(&resumed);
+    let serve = spawn_serve(&resumed);
     let replayed = stream_record(&serve.addr, 0);
     assert_eq!(replayed, record, "resumed record must be byte-identical");
     let rerun = stream_record(&serve.addr, 1);
@@ -193,12 +106,12 @@ fn resume_re_serves_journaled_jobs_byte_identically() {
 /// `cf_api_*` counters agree with the journal's JSONL records.
 #[test]
 fn coalesce_and_shed_with_metrics_agreeing_with_the_journal() {
-    let dir = temp_dir("coalesce");
+    let dir = temp_dir("job-api-coalesce");
     let journal = dir.join("j.wal");
     let mut args = journal_args(&journal);
     args.extend(["--max-inflight".into(), "2".into()]);
     let args: Vec<&str> = args.iter().map(String::as_str).collect();
-    let serve = Serve::spawn(&args);
+    let serve = spawn_serve(&args);
 
     // The leader grinds a big uncached matmul for seconds — long enough
     // that the identical follower, the queued job and the shed probe all
@@ -216,14 +129,15 @@ fn coalesce_and_shed_with_metrics_agreeing_with_the_journal() {
     // In-flight is now 2 (leader running, queued job waiting; the
     // follower subscribed instead of submitting), so the front door
     // sheds the next spec before journaling anything.
-    let (status, headers, body) = post_job(
+    let r = post(
         &serve.addr,
+        "/jobs",
         r#"{"workload":"matmul","order":1024,"machine":"f1","label":"shed"}"#,
     );
-    assert!(status.contains("503"), "{status} {body}");
-    let retry: u64 = header(&headers, "retry-after").expect("Retry-After").parse().unwrap();
+    assert_eq!(r.status, 503, "{}", r.text());
+    let retry: u64 = r.header("retry-after").expect("Retry-After").parse().unwrap();
     assert!((1..=30).contains(&retry), "{retry}");
-    assert!(body.contains("\"retry_after_s\""), "{body}");
+    assert!(r.text().contains("\"retry_after_s\""), "{}", r.text());
 
     // Every accepted job completes; leader and follower records differ
     // only in their id.

@@ -3,80 +3,50 @@
 //! probe `/healthz`, `/stats` and `/trace` over plain TCP while the run
 //! is live.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::process::{Command, Stdio};
+mod common;
+
 use std::time::{Duration, Instant};
 
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    (head.lines().next().unwrap_or("").to_string(), body.to_string())
-}
+use common::{get, Proc};
 
 #[test]
 fn cfserve_status_port_serves_health_stats_and_trace() {
-    let root = env!("CARGO_MANIFEST_DIR");
     // One worker grinding big uncached matmuls keeps the run alive for
     // seconds — long enough to probe every endpoint mid-flight.
     let manifest = std::env::temp_dir().join(format!("cf-status-cli-{}.jobs", std::process::id()));
     std::fs::write(&manifest, "workload=matmul order=2048 repeat=40\n").unwrap();
 
-    let mut child = Command::new(env!("CARGO_BIN_EXE_cfserve"))
-        .arg(&manifest)
-        .args(["--status-port", "0", "--no-cache", "--workers", "1"])
-        .current_dir(root)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn cfserve");
-
+    let manifest_arg = manifest.display().to_string();
+    let args = [manifest_arg.as_str(), "--status-port", "0", "--no-cache", "--workers", "1"];
     // The binary announces the bound port on stderr before serving.
-    let stderr = child.stderr.take().expect("stderr piped");
-    let mut lines = BufReader::new(stderr).lines();
-    let addr = loop {
-        let line = lines
-            .next()
-            .expect("cfserve exited before announcing its status port")
-            .expect("read stderr");
-        if let Some(rest) = line.strip_prefix("cfserve: status on http://") {
-            break rest.split_whitespace().next().expect("address").to_string();
-        }
-    };
-    // Drain the rest of stderr in the background so the child never
-    // blocks on a full pipe.
-    let drain = std::thread::spawn(move || for _ in lines.by_ref() {});
+    let serve = Proc::spawn(env!("CARGO_BIN_EXE_cfserve"), &args, "cfserve: status on http://");
+    let addr = serve.addr.as_str();
 
     // /healthz answers while jobs are in flight.
     let t0 = Instant::now();
-    let (status, body) = loop {
-        let (status, body) = http_get(&addr, "/healthz");
-        if status.contains("200") || t0.elapsed() > Duration::from_secs(20) {
-            break (status, body);
+    let r = loop {
+        let r = get(addr, "/healthz");
+        if r.status == 200 || t0.elapsed() > Duration::from_secs(20) {
+            break r;
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(status.contains("200"), "{status} {body}");
-    assert!(body.contains("\"status\""), "{body}");
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"status\""), "{}", r.text());
 
     // /stats shows the live run's counters.
-    let (status, body) = http_get(&addr, "/stats");
-    assert!(status.contains("200") || status.contains("503"), "{status}");
-    if status.contains("200") {
-        assert!(body.contains("\"submitted\""), "{body}");
+    let r = get(addr, "/stats");
+    assert!(r.status == 200 || r.status == 503, "{}", r.text());
+    if r.status == 200 {
+        assert!(r.text().contains("\"submitted\""), "{}", r.text());
     }
 
     // /trace serves the span ring.
-    let (status, body) = http_get(&addr, "/trace");
-    assert!(status.contains("200"), "{status}");
-    assert!(body.contains("\"events\""), "{body}");
+    let r = get(addr, "/trace");
+    assert_eq!(r.status, 200, "{}", r.text());
+    assert!(r.text().contains("\"events\""), "{}", r.text());
 
     // Done probing: the run itself can finish or be cut short.
-    child.kill().ok();
-    child.wait().ok();
-    drain.join().ok();
+    drop(serve);
     std::fs::remove_file(&manifest).ok();
 }
